@@ -9,7 +9,7 @@
 #include <string>
 
 #include "jit/cache_io.hpp"
-#include "support/thread_pool.hpp"
+#include "support/work_stealing_pool.hpp"
 #include "woolcano/asip.hpp"
 
 namespace jitise::bench {
@@ -23,12 +23,10 @@ std::string usage_text(const char* prog) {
   text += " [--jobs N] [--suite-cache] [--suite-cache-file PATH]"
           " [--suite-cache-fsync] [--trace] [--help]\n";
   text +=
-      "  --jobs N       worker threads shared by app fan-out and each app's\n"
-      "                 work-stealing executor (0 = hardware concurrency;\n"
-      "                 JITISE_JOBS is the fallback when the flag is absent).\n"
-      "                 The old static search/CAD budget split is gone —\n"
-      "                 search_jobs-style per-phase budgets are deprecated;\n"
-      "                 one pool serves all phases and idle workers steal\n"
+      "  --jobs N       worker threads, split between the app fan-out and\n"
+      "                 each app's work-stealing pool (0 = hardware\n"
+      "                 concurrency; JITISE_JOBS is the fallback when the\n"
+      "                 flag is absent)\n"
       "  --suite-cache  share one bitstream cache across all apps in the\n"
       "                 suite (cross-application hits, paper Sec. VI-A)\n"
       "  --suite-cache-file PATH\n"
@@ -238,7 +236,7 @@ std::vector<AppRun> run_apps(const std::vector<std::string>& names,
                              SuiteCacheReport* cache_report) {
   const unsigned total = options.jobs != 0
                              ? options.jobs
-                             : support::ThreadPool::default_jobs();
+                             : support::WorkStealingPool::default_workers();
   const unsigned app_jobs = static_cast<unsigned>(
       std::min<std::size_t>(names.size(), total));
 
@@ -310,10 +308,14 @@ std::vector<AppRun> run_apps(const std::vector<std::string>& names,
   // whole apps, each specializing with its share of CAD workers.
   per.jobs = std::max(1u, total / app_jobs);
 
+  // Each app task blocks only on its own run's private pool, never on this
+  // one, so nesting cannot deadlock. The phase tag is scheduling metadata
+  // only; nothing reads this pool's counters.
   std::mutex done_mu;
-  support::ThreadPool pool(app_jobs);
+  support::WorkStealingPool pool(app_jobs);
+  support::TaskGroup group;
   for (std::size_t i = 0; i < names.size(); ++i) {
-    pool.submit([&, i] {
+    pool.submit(support::Phase::Search, group, [&, i] {
       runs[i] = run_app(names[i], per);
       if (on_done) {
         std::lock_guard<std::mutex> lock(done_mu);
@@ -321,7 +323,7 @@ std::vector<AppRun> run_apps(const std::vector<std::string>& names,
       }
     });
   }
-  pool.wait_all();
+  group.wait();
   fill_report();
   return runs;
 }

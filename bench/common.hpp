@@ -82,9 +82,9 @@ struct SuiteCacheReport {
 using AppDoneFn = std::function<void(const AppRun& run)>;
 
 /// Runs the complete pipeline for every named application, fanning the apps
-/// out over a thread pool. The one global jobs budget (`options.jobs`, 0 =
-/// hardware_concurrency) is split between app-level workers and each app's
-/// per-candidate CAD workers: `app_jobs = min(napps, jobs)` threads each run
+/// out over a work-stealing pool. The one global jobs budget (`options.jobs`,
+/// 0 = hardware_concurrency) is split between app-level workers and each
+/// app's per-candidate CAD workers: `app_jobs = min(napps, jobs)` threads each run
 /// whole apps with `max(1, jobs / app_jobs)` CAD jobs. Results come back
 /// indexed like `names` regardless of completion order, and every app's
 /// output is identical to a solo `run_app` (the specializer is bit-identical

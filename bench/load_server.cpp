@@ -6,12 +6,9 @@
 // plus the server-level counters (queue high-water, rejections, executor
 // steal/occupancy stats, shared cache/estimate hit rates) and the peak OS
 // thread count of the whole process (sampled from /proc/self/status), so the
-// shared-pool bounded-threads claim is directly observable.
-//
-// --per-session-pools switches the server to the legacy execution substrate
-// (every session owns a private pool of --jobs threads, no stealing) for A/B
-// runs against the default shared work-stealing pool; --sessions sets the
-// session concurrency independently of the pool width.
+// shared-pool bounded-threads claim is directly observable. Every session
+// runs on the server's one work-stealing pool of --workers threads;
+// --sessions sets the session concurrency independently of the pool width.
 //
 // The workload is fully deterministic from --seed in *content* (which tenant
 // submits which app at which priority); completion order and latency numbers
@@ -50,8 +47,6 @@ struct LoadOptions {
   unsigned requests = 6;     // per tenant
   unsigned workers = 2;      // shared-pool compute threads
   unsigned sessions = 0;     // concurrent sessions (0 = workers)
-  unsigned jobs = 4;         // DEPRECATED width knob, see --help
-  bool shared_executor = true;
   std::size_t queue_cap = 16;
   unsigned arrival_us = 200;  // mean inter-submit gap per tenant
   double deadline_ms = 0.0;   // per-request service deadline (0 = none)
@@ -69,23 +64,15 @@ struct LoadOptions {
 void usage(const char* prog) {
   std::printf(
       "usage: %s [--tenants N] [--requests N] [--workers N] [--sessions N]\n"
-      "          [--jobs N] [--per-session-pools] [--queue-cap N]\n"
-      "          [--arrival-us N] [--deadline-ms D] [--dup-rate P]\n"
-      "          [--no-coalesce] [--suite NAME] [--selector NAME]\n"
-      "          [--isegen-iters N] [--seed S] [--journal PATH] [--fsync]\n"
-      "          [--trace] [--help]\n"
+      "          [--queue-cap N] [--arrival-us N] [--deadline-ms D]\n"
+      "          [--dup-rate P] [--no-coalesce] [--suite NAME]\n"
+      "          [--selector NAME] [--isegen-iters N] [--seed S]\n"
+      "          [--journal PATH] [--fsync] [--trace] [--help]\n"
       "  --tenants N     concurrent tenants (default 4)\n"
       "  --requests N    requests per tenant (default 6)\n"
       "  --workers N     compute threads in the shared work-stealing pool\n"
       "                  (default 2); bounds total compute threads\n"
       "  --sessions N    concurrent sessions (default: same as --workers)\n"
-      "  --jobs N        DEPRECATED: per-phase worker budgets are gone. With\n"
-      "                  the shared pool, any value > 1 just opts sessions\n"
-      "                  into it (--workers sets the width); it only sizes\n"
-      "                  real per-session pools under --per-session-pools\n"
-      "  --per-session-pools\n"
-      "                  legacy A/B substrate: each session owns a private\n"
-      "                  pool of --jobs threads, no cross-session stealing\n"
       "  --queue-cap N   admission queue capacity (default 16)\n"
       "  --arrival-us N  mean per-tenant inter-submit gap (default 200)\n"
       "  --deadline-ms D service deadline per request (default none)\n"
@@ -208,8 +195,6 @@ int main(int argc, char** argv) {
     else if (arg == "--requests") { value(v); opt.requests = unsigned(v); }
     else if (arg == "--workers") { value(v); opt.workers = unsigned(v); }
     else if (arg == "--sessions") { value(v); opt.sessions = unsigned(v); }
-    else if (arg == "--jobs") { value(v); opt.jobs = unsigned(v); }
-    else if (arg == "--per-session-pools") { opt.shared_executor = false; }
     else if (arg == "--queue-cap") { value(v); opt.queue_cap = v; }
     else if (arg == "--arrival-us") { value(v); opt.arrival_us = unsigned(v); }
     else if (arg == "--deadline-ms") { value(v); opt.deadline_ms = double(v); }
@@ -239,11 +224,9 @@ int main(int argc, char** argv) {
   if (opt.tenants == 0 || opt.requests == 0) return 0;
 
   std::printf("=== load_server: %u tenants x %u requests, %u pool workers, "
-              "%u sessions, %s executor, jobs=%u, queue=%zu ===\n\n",
+              "%u sessions, queue=%zu ===\n\n",
               opt.tenants, opt.requests, opt.workers,
-              opt.sessions == 0 ? opt.workers : opt.sessions,
-              opt.shared_executor ? "shared" : "per-session", opt.jobs,
-              opt.queue_cap);
+              opt.sessions == 0 ? opt.workers : opt.sessions, opt.queue_cap);
 
   // The request mix: all workload modules are small enough that a full CAD
   // run per request finishes in milliseconds, varied enough that the shared
@@ -273,9 +256,7 @@ int main(int argc, char** argv) {
   server::ServerConfig config;
   config.workers = opt.workers;
   config.max_sessions = opt.sessions;
-  config.shared_executor = opt.shared_executor;
   config.queue_capacity = opt.queue_cap;
-  config.specializer.jobs = opt.jobs;
   config.coalesce_requests = opt.coalesce;
   if (opt.selector == "greedy") {
     config.specializer.selector = jit::SpecializerConfig::Selector::Greedy;

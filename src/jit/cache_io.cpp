@@ -17,8 +17,7 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4A495443;        // "JITC" (file header)
 constexpr std::uint32_t kRecordMagic = 0x4A524E4C;  // "JRNL" (record frame)
-constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint32_t kVersionV2 = 2;
+constexpr std::uint32_t kVersion = 2;  // the journal (version 1 is refused)
 constexpr std::uint32_t kKindInsert = 1;
 constexpr std::uint32_t kKindEvict = 2;
 // A record body is a fixed preamble plus one entry (bitstream bounded at
@@ -58,10 +57,6 @@ struct Writer {
     static_assert(std::is_trivially_copyable_v<T>);
     bytes(&v, sizeof(v));
   }
-  void str(const std::string& s) {
-    pod<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-  }
 };
 
 // -- In-memory encoding (journal record bodies).
@@ -81,8 +76,7 @@ void append_string(std::vector<std::uint8_t>& out, const std::string& s) {
   append_bytes(out, s.data(), s.size());
 }
 
-/// Entry serialization shared by the v1 body and v2 record bodies (identical
-/// field order, so the formats differ only in framing).
+/// Entry serialization inside a journal record body.
 void encode_entry(std::vector<std::uint8_t>& out,
                   const CachedImplementation& entry) {
   append_pod(out, entry.hw_cycles);
@@ -130,7 +124,7 @@ struct Cursor {
   [[nodiscard]] std::size_t remaining() const noexcept { return size - at; }
   bool read(void* out, std::size_t n) {
     if (remaining() < n) return false;
-    std::memcpy(out, data + at, n);
+    if (n != 0) std::memcpy(out, data + at, n);  // `out` may be null at n = 0
     at += n;
     return true;
   }
@@ -171,24 +165,6 @@ bool decode_entry(Cursor& c, CachedImplementation& entry) {
       return false;
   }
   return true;
-}
-
-void read_bytes(std::FILE* f, void* data, std::size_t n) {
-  if (std::fread(data, 1, n, f) != n)
-    throw std::runtime_error("cache file: truncated");
-}
-template <typename T>
-T read_pod(std::FILE* f) {
-  T v;
-  read_bytes(f, &v, sizeof(v));
-  return v;
-}
-std::string read_string(std::FILE* f) {
-  const auto n = read_pod<std::uint32_t>(f);
-  if (n > (1u << 20)) throw std::runtime_error("cache file: bad string size");
-  std::string s(n, '\0');
-  read_bytes(f, s.data(), n);
-  return s;
 }
 
 /// Pushes stdio-flushed bytes of `f` down to stable storage.
@@ -245,11 +221,11 @@ void atomic_rewrite(const std::string& path, const Fill& fill,
   if (durable) fsync_parent_dir(path);
 }
 
-/// Writes a complete v2 journal for `entries` (most-recent-first, as
+/// Writes a complete journal for `entries` (most-recent-first, as
 /// `snapshot()` returns them): records go oldest first with stamps 1..N, so
 /// a replay reproduces the LRU order — and a save→load→save round trip is
 /// byte-identical.
-void write_v2_file(
+void write_journal_file(
     const std::string& path,
     const std::vector<std::pair<std::uint64_t, CachedImplementation>>&
         entries,
@@ -258,7 +234,7 @@ void write_v2_file(
       path,
       [&](Writer& w) {
         w.pod(kMagic);
-        w.pod(kVersionV2);
+        w.pod(kVersion);
         std::uint64_t stamp = 0;
         for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
           const auto frame = make_record(kKindInsert, ++stamp, it->first,
@@ -269,11 +245,10 @@ void write_v2_file(
       durable);
 }
 
-/// v2 replay: applies wholly intact records in file order; stops at the
+/// Journal replay: applies wholly intact records in file order; stops at the
 /// first torn or corrupt one, keeping everything before it.
-CacheLoadReport load_v2(BitstreamCache& cache, std::FILE* f) {
+CacheLoadReport replay_journal(BitstreamCache& cache, std::FILE* f) {
   CacheLoadReport report;
-  report.version = kVersionV2;
   report.valid_bytes = 8;  // header
   for (;;) {
     std::uint32_t magic = 0, len = 0, crc = 0;
@@ -316,62 +291,6 @@ CacheLoadReport load_v2(BitstreamCache& cache, std::FILE* f) {
   return report;
 }
 
-/// Legacy v1 body: all-or-nothing, exactly the pre-journal semantics — the
-/// file parses fully before any entry commits, and a failure clears the
-/// cache. Entries are committed oldest-first so the reloaded LRU order
-/// matches the saved one (a v1 save→load→save round trip is byte-identical).
-CacheLoadReport load_v1(BitstreamCache& cache, std::FILE* f,
-                        const std::string& path) {
-  CacheLoadReport report;
-  report.version = kVersionV1;
-  std::vector<std::pair<std::uint64_t, CachedImplementation>> parsed;
-  try {
-    const auto count = read_pod<std::uint64_t>(f);
-    parsed.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, 1ull << 20)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto signature = read_pod<std::uint64_t>(f);
-      CachedImplementation entry;
-      entry.hw_cycles = read_pod<std::uint32_t>(f);
-      entry.critical_path_ns = read_pod<double>(f);
-      entry.area_slices = read_pod<double>(f);
-      entry.cells = static_cast<std::size_t>(read_pod<std::uint64_t>(f));
-      entry.generation_seconds = read_pod<double>(f);
-      entry.bitstream.part = read_string(f);
-      entry.bitstream.region_width = read_pod<std::uint16_t>(f);
-      entry.bitstream.region_height = read_pod<std::uint16_t>(f);
-      entry.bitstream.frame_count = read_pod<std::uint32_t>(f);
-      entry.bitstream.crc32 = read_pod<std::uint32_t>(f);
-      const auto nbytes = read_pod<std::uint64_t>(f);
-      if (nbytes > (1ull << 30)) throw std::runtime_error("bad size");
-      entry.bitstream.bytes.resize(static_cast<std::size_t>(nbytes));
-      read_bytes(f, entry.bitstream.bytes.data(),
-                 entry.bitstream.bytes.size());
-      // Integrity: the stored CRC must match the payload (excluding the
-      // trailing CRC word appended by bitgen).
-      if (!entry.bitstream.bytes.empty()) {
-        const std::size_t body = entry.bitstream.bytes.size() >= 4
-                                     ? entry.bitstream.bytes.size() - 4
-                                     : 0;
-        if (fpga::crc32(entry.bitstream.bytes.data(), body) !=
-            entry.bitstream.crc32)
-          throw std::runtime_error("CRC mismatch (corrupt entry)");
-      }
-      parsed.emplace_back(signature, std::move(entry));
-    }
-  } catch (const std::exception& e) {
-    cache.clear();
-    throw std::runtime_error("cache file '" + path + "': load failed (" +
-                             e.what() + "); cache cleared");
-  }
-  // The file is written most-recent-first; insert in reverse so the most
-  // recent entry receives the newest stamp and the LRU order survives.
-  for (auto it = parsed.rbegin(); it != parsed.rend(); ++it)
-    cache.insert(it->first, std::move(it->second));
-  report.entries = cache.entries();
-  return report;
-}
-
 }  // namespace
 
 namespace testing_hooks {
@@ -381,32 +300,7 @@ void set_cache_io_write_hook(CacheIoWriteHook hook) {
 }  // namespace testing_hooks
 
 void save_cache(const BitstreamCache& cache, const std::string& path) {
-  write_v2_file(path, cache.snapshot());
-}
-
-void save_cache_v1(const BitstreamCache& cache, const std::string& path) {
-  const auto entries = cache.snapshot();
-  atomic_rewrite(path, [&](Writer& w) {
-    w.pod(kMagic);
-    w.pod(kVersionV1);
-    w.pod<std::uint64_t>(entries.size());
-    for (const auto& [signature, entry] : entries) {
-      w.pod(signature);
-      w.pod(entry.hw_cycles);
-      w.pod(entry.critical_path_ns);
-      w.pod(entry.area_slices);
-      w.pod<std::uint64_t>(entry.cells);
-      w.pod(entry.generation_seconds);
-      const fpga::Bitstream& bs = entry.bitstream;
-      w.str(bs.part);
-      w.pod(bs.region_width);
-      w.pod(bs.region_height);
-      w.pod(bs.frame_count);
-      w.pod(bs.crc32);
-      w.pod<std::uint64_t>(bs.bytes.size());
-      w.bytes(bs.bytes.data(), bs.bytes.size());
-    }
-  });
+  write_journal_file(path, cache.snapshot());
 }
 
 CacheLoadReport load_cache(BitstreamCache& cache, const std::string& path) {
@@ -422,8 +316,7 @@ CacheLoadReport load_cache(BitstreamCache& cache, const std::string& path) {
     throw std::runtime_error("cache file '" + path + "': bad magic");
   if (std::fread(&version, 1, sizeof(version), f.get()) != sizeof(version))
     throw std::runtime_error("cache file '" + path + "': truncated header");
-  if (version == kVersionV1) return load_v1(cache, f.get(), path);
-  if (version == kVersionV2) return load_v2(cache, f.get());
+  if (version == kVersion) return replay_journal(cache, f.get());
   throw std::runtime_error("cache file '" + path + "': unsupported version");
 }
 
@@ -455,7 +348,6 @@ CacheLoadReport CacheJournal::attach(BitstreamCache& cache) {
   }
 
   CacheLoadReport report;
-  report.version = kVersionV2;
   bool fresh = true;
   if (File probe{std::fopen(path_.c_str(), "rb")}) {
     // An empty file (e.g. external truncation to zero) counts as fresh.
@@ -464,12 +356,7 @@ CacheLoadReport CacheJournal::attach(BitstreamCache& cache) {
   }
   if (!fresh) {
     report = load_cache(cache, path_);
-    if (report.version == kVersionV1) {
-      // One-shot migration: rewrite the legacy snapshot as a v2 journal
-      // (atomic, so a crash mid-migration leaves the v1 file intact).
-      save_cache(cache, path_);
-      report.records = report.entries;
-    } else if (report.recovered_truncation) {
+    if (report.recovered_truncation) {
       // Drop the torn tail in place so appends land after the valid prefix
       // instead of extending garbage.
       if (::truncate(path_.c_str(),
@@ -478,7 +365,7 @@ CacheLoadReport CacheJournal::attach(BitstreamCache& cache) {
                                  "': cannot truncate torn tail");
     }
   } else {
-    write_v2_file(path_, {});  // header-only journal, atomically
+    write_journal_file(path_, {});  // header-only journal, atomically
   }
 
   std::lock_guard<std::mutex> lock(file_mu_);
@@ -566,8 +453,8 @@ void CacheJournal::compact(const BitstreamCache& cache) {
   // append handle both survive. In fsync mode the rewrite is durable end to
   // end: the tmp file is fdatasynced before the rename, the directory
   // fsynced after it.
-  write_v2_file(path_, entries, fsync_.load(std::memory_order_relaxed));
-  // write_v2_file's rename already atomically replaced the path; the old
+  write_journal_file(path_, entries, fsync_.load(std::memory_order_relaxed));
+  // write_journal_file's rename already atomically replaced the path; the old
   // handle now points at the unlinked inode — reopen on the new file.
   if (file_ != nullptr) std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");

@@ -3,19 +3,18 @@
 // runs (Table IV), so it is the one artifact that must survive process
 // restarts intact.
 //
-// Format v2 is an **append-only journal**: an 8-byte header (the v1 magic
-// with version 2) followed by CRC-framed records. Each record frames a body
-// (`JRNL` record magic, body length, CRC-32 over the body) holding a
-// monotonically stamped insert (signature + full entry) or evict tombstone.
+// The one on-disk format is an **append-only journal**: an 8-byte header
+// (`JITC` magic, version 2) followed by CRC-framed records. Each record
+// frames a body (`JRNL` record magic, body length, CRC-32 over the body)
+// holding a monotonically stamped insert (signature + full entry) or evict
+// tombstone.
 // Recovery is prefix-preserving: `load_cache` replays records in file order
 // and, on the first torn or corrupt record, stops and keeps every wholly
 // intact record before it — a crash mid-append loses at most the record
 // being written, never the accumulated cache. Compaction and full saves go
 // through `<path>.tmp` + `std::rename`, so a crash at any instant leaves
-// either the old file or the new one, never a hybrid.
-//
-// The legacy whole-file v1 format stays loadable (all-or-nothing, as
-// before); `CacheJournal::attach` migrates a v1 file to v2 in one shot.
+// either the old file or the new one, never a hybrid. Any other header
+// version (including the retired whole-file version 1) is refused.
 #pragma once
 
 #include <atomic>
@@ -32,37 +31,30 @@ namespace jitise::jit {
 
 /// What a `load_cache` (or `CacheJournal::attach`) replay found.
 struct CacheLoadReport {
-  std::uint32_t version = 0;   // file format that was parsed (1 or 2)
   std::size_t entries = 0;     // cache entry count after the load committed
-  std::size_t records = 0;     // v2: journal records replayed (incl. evicts)
-  std::size_t tombstones = 0;  // v2: evict records among `records`
-  /// v2: a torn/corrupt tail was dropped; everything before it was kept.
+  std::size_t records = 0;     // journal records replayed (incl. evicts)
+  std::size_t tombstones = 0;  // evict records among `records`
+  /// A torn/corrupt tail was dropped; everything before it was kept.
   bool recovered_truncation = false;
-  /// v2: byte length of the valid journal prefix (== file size when clean).
+  /// Byte length of the valid journal prefix (== file size when clean).
   std::uint64_t valid_bytes = 0;
 };
 
-/// Writes all cache entries to `path` in the v2 journal format (one insert
-/// record per entry, oldest first, stamps 1..N so a reload reproduces the
-/// LRU order exactly). Atomic: the bytes go to `<path>.tmp` and are
-/// `std::rename`d over `path` only once complete. Throws std::runtime_error
-/// on I/O failure — with the previous file untouched.
+/// Writes all cache entries to `path` as a journal (one insert record per
+/// entry, oldest first, stamps 1..N so a reload reproduces the LRU order
+/// exactly). Atomic: the bytes go to `<path>.tmp` and are `std::rename`d
+/// over `path` only once complete. Throws std::runtime_error on I/O
+/// failure — with the previous file untouched.
 void save_cache(const BitstreamCache& cache, const std::string& path);
 
-/// Legacy v1 whole-file writer (kept for migration tests and old tooling).
-/// Also atomic via `<path>.tmp` + rename.
-void save_cache_v1(const BitstreamCache& cache, const std::string& path);
-
-/// Reads a cache file; entries merge into `cache` (existing signatures are
-/// overwritten; evict tombstones erase). Both formats load:
-///  - v2 journal: prefix-preserving — replay stops at the first torn or
-///    corrupt record (frame damage or CRC mismatch) and every wholly intact
-///    record before it stays committed; `recovered_truncation`/`valid_bytes`
-///    report what was dropped. Never throws for tail damage.
-///  - v1: all-or-nothing as before — the file is parsed fully before any
-///    entry is committed, and a parse failure clears the cache and throws.
-/// A file that cannot be opened, or whose 8-byte header is damaged, throws
-/// without touching the cache.
+/// Replays a journal file; entries merge into `cache` (existing signatures
+/// are overwritten; evict tombstones erase). Prefix-preserving: replay stops
+/// at the first torn or corrupt record (frame damage or CRC mismatch) and
+/// every wholly intact record before it stays committed;
+/// `recovered_truncation`/`valid_bytes` report what was dropped. Never
+/// throws for tail damage. A file that cannot be opened, or whose 8-byte
+/// header is damaged or carries another version, throws without touching
+/// the cache.
 CacheLoadReport load_cache(BitstreamCache& cache, const std::string& path);
 
 /// When to rewrite the journal from live state (dropping superseded and
@@ -96,10 +88,10 @@ class CacheJournal final : public CacheJournalSink {
 
   /// Warm-start entry point: replays an existing journal into `cache`
   /// (truncating a torn tail in place so appends land after the valid
-  /// prefix), migrates a v1 file to v2 on the spot, or creates a fresh
-  /// journal when `path` does not exist — then opens the append handle and
-  /// installs itself as the cache's sink. Throws on an unopenable directory
-  /// or an unreadable v1 file (v2 tail damage never throws).
+  /// prefix), or creates a fresh journal when `path` does not exist — then
+  /// opens the append handle and installs itself as the cache's sink.
+  /// Throws, leaving the file untouched and the sink uninstalled, on an
+  /// unopenable directory or a bad header (tail damage never throws).
   CacheLoadReport attach(BitstreamCache& cache);
 
   void record_insert(std::uint64_t signature,

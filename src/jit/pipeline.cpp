@@ -11,15 +11,12 @@
 // speculative runs use placeholder names and the serial tail attaches the
 // canonical position-dependent name afterwards.
 //
-// There is no per-phase worker budget anymore: search, estimation and CAD
-// tasks share one executor and idle workers steal across phases, so the old
-// `resolve_search_jobs` ceiling-half split (and the idle half it stranded
-// after search finished) is gone. The executor is borrowed when the caller
-// owns a long-lived one (the server's shared pool); a direct call with a
-// parallel config gets a run-scoped private pool.
+// There is no per-phase worker budget: search, estimation and CAD tasks
+// share one executor and idle workers steal across phases. The executor is
+// borrowed when the caller owns a long-lived one (the server's shared pool);
+// a direct call with a parallel config gets a run-scoped private pool.
 #include "jit/pipeline.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <optional>
@@ -54,18 +51,15 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   hwlib::CircuitDb db;
   PipelineObserver& obs = observers_;
 
+  // `jobs = 1` forces serial execution. Otherwise a borrowed executor is
+  // used whatever its width; without one, `jobs` (0 = hardware concurrency)
+  // sizes a run-scoped private pool when it exceeds one.
   const unsigned jobs = config_.jobs != 0
                             ? config_.jobs
                             : support::WorkStealingPool::default_workers();
-  // Back-compat: `search_jobs` once sized a dedicated search pool. Today 1
-  // still forces the serial per-block loop, and any other value opts search
-  // into the executor — whose width, not this field, decides the actual
-  // parallelism.
-  const unsigned search_width =
-      config_.search_jobs != 0 ? config_.search_jobs : jobs;
+  const bool parallel = executor_ != nullptr ? config_.jobs != 1 : jobs > 1;
   const bool hardware = config_.implement_hardware;
-  const bool parallel_cad = hardware && jobs > 1;
-  const bool parallel_search = search_width > 1;
+  const bool parallel_cad = hardware && parallel;
   const bool overlap = parallel_cad && config_.overlap_phases;
 
   // Lifetime choreography, outermost first: tasks reference the artifact's
@@ -84,8 +78,8 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   std::optional<support::Stopwatch> impl_timer;
 
   support::Executor* exec = executor_;
-  if (exec == nullptr && (parallel_cad || parallel_search)) {
-    owned.emplace(std::max(jobs, search_width));
+  if (exec == nullptr && parallel) {
+    owned.emplace(jobs);
     exec = &*owned;
   }
 
@@ -133,7 +127,7 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   }
 
   search_.run(module, profile, db, obs, art, on_block,
-              parallel_search ? exec : nullptr, estimates_);
+              parallel ? exec : nullptr, estimates_);
 
   std::vector<std::string> names(art.selection.chosen.size());
   for (std::size_t k = 0; k < names.size(); ++k)

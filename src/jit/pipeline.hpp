@@ -160,11 +160,11 @@ class SpecializationPipeline {
  public:
   /// `cache`, `estimates` and `executor` are borrowed, may be shared across
   /// concurrent pipelines (all are internally synchronized), and may be
-  /// null. With a null `executor` and a parallel config (`jobs`/
-  /// `search_jobs` > 1), run() spins up a private WorkStealingPool for the
-  /// duration of the run; with a non-null one (the server's shared pool),
-  /// this pipeline submits its phase-tagged tasks there and owns no threads
-  /// at all.
+  /// null. With a null `executor` and more than one resolved `jobs`, run()
+  /// spins up a private WorkStealingPool for the duration of the run; with
+  /// a non-null one (the server's shared pool), this pipeline submits its
+  /// phase-tagged tasks there unless `jobs = 1`, and owns no threads at
+  /// all.
   explicit SpecializationPipeline(const SpecializerConfig& config,
                                   BitstreamCache* cache = nullptr,
                                   estimation::EstimateCache* estimates = nullptr,

@@ -47,34 +47,26 @@ struct SpecializerConfig {
   /// and the per-candidate CAD chain (`Phase::Cad`) — runs as phase-tagged
   /// tasks on ONE support::Executor; there is no static per-phase worker
   /// split, idle workers steal across phases. 0 means
-  /// hardware_concurrency, 1 runs strictly serially. When the caller owns a
-  /// long-lived executor (the specialization server's shared
-  /// WorkStealingPool), `jobs > 1` merely opts the run into it and the
-  /// executor's width decides the real parallelism; a direct call with
-  /// `jobs > 1` gets a run-scoped private pool of this size. Any value
+  /// hardware_concurrency, 1 runs strictly serially. When the caller lends
+  /// a long-lived executor (the specialization server's shared
+  /// WorkStealingPool), every value but 1 runs on it and the executor's
+  /// width decides the real parallelism; a direct call gets a run-scoped
+  /// private pool of `jobs` workers when that is more than one. Any value
   /// produces a bit-identical SpecializationResult: CAD jitter is seeded
   /// per candidate signature, block results are absorbed by a serial
   /// reducer in block order, and all bookkeeping (cycle accounting,
   /// registry insertion, `implemented` order, cache population) stays in a
   /// serial tail.
   unsigned jobs = 0;
-  /// DEPRECATED — the one executor serves every phase, so search no longer
-  /// has a worker budget of its own (the ceiling-half
-  /// `resolve_search_jobs` split is gone). Accepted for back-compat:
-  /// 1 forces the classic serial per-block search loop; 0 follows `jobs`;
-  /// any other value opts search into the executor (and sizes a private
-  /// pool when no executor is borrowed, so old `jobs=1, search_jobs=N`
-  /// search-only configs still fan out N-wide).
-  unsigned search_jobs = 0;
-  /// Overlap Phase 1 with Phases 2+3 (jobs > 1 only): as candidate search
-  /// finishes scoring a block, candidates in the provisional incremental
-  /// selection already stream into CAD tasks instead of waiting for the
-  /// full selection barrier. Output stays bit-identical to the staged run —
-  /// CAD results are signature-keyed and the serial tail consumes them in
-  /// final selection order; speculative work for candidates that drop out
-  /// of the final selection is simply discarded. With work-stealing this
-  /// flag no longer moves workers between phases; it only controls the
-  /// speculative streaming.
+  /// Overlap Phase 1 with Phases 2+3 (parallel runs only): as candidate
+  /// search finishes scoring a block, candidates in the provisional
+  /// incremental selection already stream into CAD tasks instead of waiting
+  /// for the full selection barrier. Output stays bit-identical to the
+  /// staged run — CAD results are signature-keyed and the serial tail
+  /// consumes them in final selection order; speculative work for
+  /// candidates that drop out of the final selection is simply discarded.
+  /// With work-stealing this flag no longer moves workers between phases; it
+  /// only controls the speculative streaming.
   bool overlap_phases = true;
   /// Emit a one-line per-candidate CAD timing trace to stderr (real ms per
   /// stage plus the worker thread id) so the parallel speedup is observable.

@@ -35,10 +35,15 @@ RequestState Ticket::state() const {
   return state_->outcome.state;
 }
 
-const RequestOutcome& Ticket::wait() const {
+const RequestOutcome& Ticket::wait() const& {
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->cv.wait(lock, [&] { return state_->terminal; });
   return state_->outcome;
+}
+
+RequestOutcome Ticket::wait() && {
+  // A copy, not a move: other tickets (and the server) may share the state.
+  return std::as_const(*this).wait();
 }
 
 std::optional<RequestOutcome> Ticket::poll() const {

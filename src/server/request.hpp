@@ -14,6 +14,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "ir/module.hpp"
 #include "jit/specializer.hpp"
@@ -139,10 +141,13 @@ class Ticket {
   [[nodiscard]] std::uint64_t id() const;
   [[nodiscard]] RequestState state() const;
 
-  /// Blocks until the request reaches a terminal state; the returned
-  /// reference stays valid for the ticket's lifetime (terminal outcomes are
-  /// immutable).
-  const RequestOutcome& wait() const;
+  /// Blocks until the request reaches a terminal state. On a ticket that
+  /// outlives the call, the returned reference stays valid for the ticket's
+  /// lifetime (terminal outcomes are immutable). On a temporary ticket
+  /// (`srv.submit(req).wait()`) the outcome is returned by value, so it
+  /// cannot dangle once the temporary is gone.
+  const RequestOutcome& wait() const&;
+  RequestOutcome wait() &&;
 
   /// Non-blocking: a copy of the outcome once terminal, nullopt before.
   [[nodiscard]] std::optional<RequestOutcome> poll() const;
@@ -161,5 +166,8 @@ class Ticket {
 
   std::shared_ptr<detail::TicketState> state_;
 };
+
+static_assert(!std::is_reference_v<decltype(std::declval<Ticket>().wait())>,
+              "waiting on a temporary ticket must not return a reference");
 
 }  // namespace jitise::server

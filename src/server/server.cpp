@@ -17,6 +17,14 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/// Applies the documented zero defaults: `workers = 0` means one pool
+/// worker, `max_sessions = 0` one session per worker.
+[[nodiscard]] ServerConfig normalized(ServerConfig config) {
+  if (config.workers == 0) config.workers = 1;
+  if (config.max_sessions == 0) config.max_sessions = config.workers;
+  return config;
+}
+
 /// The drift policy's per-stream key: one tenant's window sequence for one
 /// module.
 [[nodiscard]] std::string stream_key(const std::string& tenant,
@@ -88,23 +96,18 @@ class SpecializationServer::SessionPipelineObserver final
 };
 
 SpecializationServer::SpecializationServer(ServerConfig config)
-    : config_(std::move(config)),
+    : config_(normalized(std::move(config))),
       cache_(config_.cache_capacity_bytes),
+      pool_(config_.workers),
       started_at_(Clock::now()) {
-  if (config_.workers == 0) config_.workers = 1;
-  if (config_.max_sessions == 0) config_.max_sessions = config_.workers;
+  pool_.set_observer(this);
   if (config_.adaptive) {
-    policy_.emplace(config_.respec, config_.specializer,
-                    config_.share_estimates ? &estimates_ : nullptr);
+    policy_.emplace(config_.respec, config_.specializer, &estimates_);
   }
   if (!config_.cache_journal_file.empty()) {
     journal_.emplace(config_.cache_journal_file);
     journal_->set_fsync(config_.journal_fsync);
     journal_->attach(cache_);
-  }
-  if (config_.shared_executor) {
-    pool_.emplace(config_.workers);
-    pool_->set_observer(this);
   }
   // One coordinator thread per session slot. Coordinators submit tasks and
   // block; the pool above holds the compute threads, so total compute
@@ -463,12 +466,8 @@ void SpecializationServer::run_session(Session& session) {
   std::optional<jit::SpecializationResult> result;
   pipeline_runs_.fetch_add(1, std::memory_order_relaxed);
   try {
-    // Shared mode hands the pipeline the server-wide pool (the session
-    // coordinator only submits and waits); legacy mode passes none, so a
-    // parallel config spins up a session-private pool.
-    jit::SpecializationPipeline pipeline(
-        cfg, &cache_, config_.share_estimates ? &estimates_ : nullptr,
-        config_.shared_executor ? &*pool_ : nullptr);
+    // The session coordinator only submits to the server-wide pool and waits.
+    jit::SpecializationPipeline pipeline(cfg, &cache_, &estimates_, &pool_);
     pipeline.add_observer(&progress);
     if (config_.pipeline_observer) {
       pipeline.add_observer(config_.pipeline_observer);
@@ -707,7 +706,7 @@ ServerStats SpecializationServer::stats() const {
     s.drift_evictions = drift_evictions_;
   }
   s.pipeline_runs = pipeline_runs_.load(std::memory_order_relaxed);
-  if (pool_) s.executor = pool_->stats();
+  s.executor = pool_.stats();
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
   s.cache_entries = cache_.entries();

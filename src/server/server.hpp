@@ -40,10 +40,7 @@
 // session's search/estimate/CAD tasks land in the one work-stealing pool,
 // so total compute threads are bounded by `workers` no matter how many
 // tenants or sessions are in flight, an idle worker steals whichever phase
-// (of whichever session) is backed up, and the old per-session pools — and
-// the idle-search slot-lending stop-gap that papered over their stranded
-// halves — are gone. `shared_executor = false` restores per-session private
-// pools for A/B comparison (bench/load_server --per-session-pools).
+// (of whichever session) is backed up.
 //
 // Cancellation/deadlines are cooperative: the pipeline polls the request's
 // token at stage boundaries only — never inside a cache or journal mutation
@@ -90,17 +87,12 @@ struct ServerConfig {
   /// Bound on admitted-but-not-started requests; a submit beyond it is
   /// rejected with reason (backpressure, never silent queueing).
   std::size_t queue_capacity = 64;
-  /// One shared WorkStealingPool for all sessions (the default). `false`
-  /// gives every session a private pool of `specializer.jobs` threads — the
-  /// pre-work-stealing architecture, kept as the A/B baseline (thread count
-  /// then scales with concurrent sessions).
-  bool shared_executor = true;
   /// Per-session pipeline configuration (jobs, overlap, flow, ...). The
   /// server overrides its `cancel` token per request and its
-  /// `journal_fsync` from the server-level flag. Under the shared executor,
-  /// `specializer.jobs > 1` opts sessions into the pool (whose `workers`
-  /// width decides the real parallelism); `jobs = 1` runs sessions
-  /// strictly serially on their coordinator thread.
+  /// `journal_fsync` from the server-level flag. Sessions run on the shared
+  /// pool (whose `workers` width decides the real parallelism) unless
+  /// `specializer.jobs = 1`, which runs them strictly serially on their
+  /// coordinator thread.
   jit::SpecializerConfig specializer;
   /// Shared bitstream cache capacity in bytes (0 = unbounded).
   std::size_t cache_capacity_bytes = 0;
@@ -110,9 +102,6 @@ struct ServerConfig {
   /// Power-loss durability for the journal (satellite of
   /// SpecializerConfig::journal_fsync).
   bool journal_fsync = false;
-  /// Share one per-signature EstimateCache across all sessions, so
-  /// identical candidates from different tenants are estimated once.
-  bool share_estimates = true;
   /// Request coalescing: a submission whose (module, profile) signature
   /// (jit::request_signature) matches a run already queued or executing
   /// registers as a *follower* on that run's in-flight entry and resolves
@@ -170,9 +159,9 @@ struct ServerStats {
   std::uint64_t admission_rejections = 0;
   std::uint64_t cancellations = 0;  // terminal Cancelled
   std::uint64_t expiries = 0;       // terminal Expired
-  /// Shared-pool counters (zero when `shared_executor` is off): executed
-  /// tasks per phase, cross-worker steals, and the worker-occupancy
-  /// high-water mark — the observability the anytime-selection work needs.
+  /// Shared-pool counters: executed tasks per phase, cross-worker steals,
+  /// and the worker-occupancy high-water mark — the observability the
+  /// anytime-selection work needs.
   support::ExecutorStats executor;
   // Coalescing tier: followers registered at admission, followers resolved
   // Done from a leader's result, followers promoted into fresh runs after
@@ -331,9 +320,8 @@ class SpecializationServer : private support::ExecutorObserver {
   /// into one signature space.
   std::optional<adaptive::RespecializationPolicy> policy_;
   std::optional<jit::CacheJournal> journal_;
-  /// The one compute substrate all sessions share (absent when
-  /// `shared_executor` is off — sessions then own private pools).
-  std::optional<support::WorkStealingPool> pool_;
+  /// The one compute substrate all sessions share.
+  support::WorkStealingPool pool_;
   ServerObserverList observers_;
 
   mutable std::mutex mu_;  // scheduler state below

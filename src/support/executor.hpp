@@ -14,8 +14,7 @@
 //
 // Completion is tracked per TaskGroup, not per executor, so many sessions
 // can share one executor and each still has a private "my batch is done"
-// barrier with ThreadPool-compatible error semantics (lowest-task-id
-// rethrow).
+// barrier with deterministic error semantics (lowest-task-id rethrow).
 #pragma once
 
 #include <condition_variable>
@@ -61,8 +60,8 @@ struct ExecutorStats {
 
 /// Per-batch completion tracker. A group hands out dense 0-based task ids
 /// and `wait()` blocks until every begun task finished, then rethrows the
-/// exception of the lowest task id (the ThreadPool::wait_all contract) and
-/// resets for the next batch.
+/// exception of the lowest task id (never completion order) and resets for
+/// the next batch.
 ///
 /// The destructor waits for every outstanding task (swallowing their
 /// errors), so a group on an unwinding stack frame quiesces all tasks that

@@ -22,13 +22,13 @@
 // fixed order (OrderedReducer, signature-keyed slots), which keeps any
 // schedule bit-identical to serial execution.
 //
-// Shutdown contract (the ThreadPool contract, made explicit): the
-// destructor wakes every worker and workers keep claiming tasks until every
-// deque is empty, so every task submitted before the destructor began runs
-// exactly once before the destructor returns; errors of tasks whose group
-// is never wait()ed are swallowed by the group. Submitting concurrently
-// with destruction is undefined. TaskGroup destructors, not the pool,
-// enforce that an unwinding caller's tasks quiesce first.
+// Shutdown contract: the destructor wakes every worker and workers keep
+// claiming tasks until every deque is empty, so every task submitted before
+// the destructor began runs exactly once before the destructor returns;
+// errors of tasks whose group is never wait()ed are swallowed by the group.
+// Submitting concurrently with destruction is undefined. TaskGroup
+// destructors, not the pool, enforce that an unwinding caller's tasks
+// quiesce first.
 #pragma once
 
 #include <atomic>

@@ -45,7 +45,9 @@ class FaultyFile {
                         const std::vector<std::uint8_t>& bytes) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) throw std::runtime_error("FaultyFile: cannot open " + path);
-    if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
+    // An empty vector's data() may be null, which fwrite must not receive.
+    if (!bytes.empty() &&
+        std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
       std::fclose(f);
       throw std::runtime_error("FaultyFile: short write on " + path);
     }

@@ -13,6 +13,7 @@
 #include "ise/isegen.hpp"
 #include "ise/pruning.hpp"
 #include "ise/selection.hpp"
+#include "random_program_fixture.hpp"
 #include "vm/interpreter.hpp"
 
 #include <limits>
@@ -273,6 +274,33 @@ TEST(ExactEnum, RespectsBudget) {
   const auto result = ise::enumerate_exact(g, cfg);
   EXPECT_TRUE(result.truncated);
   EXPECT_LE(result.steps, 6u);
+}
+
+// Exact enumeration is exponential, so its random-program sweep runs on the
+// first ten seeds only; property_test sweeps its cheaper checks over 40.
+using jitise::testing::RandomProgram;
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgram,
+                         ::testing::Range<std::uint64_t>(1, 11));
+
+TEST_P(RandomProgram, ExactEnumRespectsConstraintsEverywhere) {
+  const ir::Module m = generate();
+  ise::ExactEnumConfig config;
+  config.max_steps = 1u << 16;
+  for (const ir::Function& fn : m.functions) {
+    for (ir::BlockId b = 0; b < fn.blocks.size(); ++b) {
+      const dfg::BlockDfg graph(fn, b);
+      if (graph.size() > 24) continue;
+      const auto result = ise::enumerate_exact(graph, config);
+      for (const auto& cand : result.candidates) {
+        EXPECT_LE(cand.inputs.size(), config.max_inputs);
+        EXPECT_LE(cand.outputs.size(), config.max_outputs);
+        std::vector<bool> in_set(graph.size(), false);
+        for (dfg::NodeId n : cand.nodes) in_set[n] = true;
+        EXPECT_TRUE(graph.is_convex(in_set));
+      }
+    }
+  }
 }
 
 TEST(Signature, StructuralEquality) {

@@ -1,16 +1,19 @@
 // Crash-safety and corruption tests for the journaled bitstream-cache
 // persistence (jit/cache_io.*), driven by the FaultyFile fault-injection
 // shim: every-truncation-point recovery, a single-bit-flip corpus, injected
-// mid-save crashes, v1 migration, compaction, and the pipeline's persistence
-// tail. Randomized corpora read JITISE_FAULT_SEED (the CI soak loop runs 25
-// seeds) so repeated runs explore different caches and golden journals.
+// mid-save crashes, refusal of other format versions, compaction, and the
+// pipeline's persistence tail. Randomized corpora read JITISE_FAULT_SEED
+// (the CI soak loop runs 25 seeds) so repeated runs explore different caches
+// and golden journals.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -209,29 +212,26 @@ TEST(Journal, KilledSaveNeverDestroysThePreviousFile) {
   TempPath file("/tmp/jitise_atomic_save.jrnl");
   support::Xoshiro256 rng(fault_seed() ^ 0xA70Cu);
 
-  for (const bool v1 : {false, true}) {
-    const auto save = v1 ? jit::save_cache_v1 : jit::save_cache;
-    jit::BitstreamCache good;
-    for (std::uint64_t s = 1; s <= 3; ++s)
-      good.insert(s, make_entry(rng, 16));
-    save(good, file.path);
-    const auto before = FaultyFile::read_all(file.path);
+  jit::BitstreamCache good;
+  for (std::uint64_t s = 1; s <= 3; ++s) good.insert(s, make_entry(rng, 16));
+  jit::save_cache(good, file.path);
+  const auto before = FaultyFile::read_all(file.path);
 
-    jit::BitstreamCache bigger;
-    for (std::uint64_t s = 10; s <= 20; ++s)
-      bigger.insert(s, make_entry(rng, 32));
-    {
-      KillAfterWrites kill(4);
-      EXPECT_THROW(save(bigger, file.path), KillAfterWrites::InjectedCrash);
-    }
-    // The interrupted save went to <path>.tmp and never renamed: the old
-    // file is byte-identical and still loads, and the temp was removed.
-    EXPECT_EQ(FaultyFile::read_all(file.path), before) << "v1=" << v1;
-    EXPECT_EQ(std::fopen((file.path + ".tmp").c_str(), "rb"), nullptr);
-    jit::BitstreamCache loaded;
-    jit::load_cache(loaded, file.path);
-    EXPECT_EQ(loaded.entries(), 3u) << "v1=" << v1;
+  jit::BitstreamCache bigger;
+  for (std::uint64_t s = 10; s <= 20; ++s)
+    bigger.insert(s, make_entry(rng, 32));
+  {
+    KillAfterWrites kill(4);
+    EXPECT_THROW(jit::save_cache(bigger, file.path),
+                 KillAfterWrites::InjectedCrash);
   }
+  // The interrupted save went to <path>.tmp and never renamed: the old file
+  // is byte-identical and still loads, and the temp was removed.
+  EXPECT_EQ(FaultyFile::read_all(file.path), before);
+  EXPECT_EQ(std::fopen((file.path + ".tmp").c_str(), "rb"), nullptr);
+  jit::BitstreamCache loaded;
+  jit::load_cache(loaded, file.path);
+  EXPECT_EQ(loaded.entries(), 3u);
 }
 
 TEST(Journal, KilledCompactionPreservesJournalAndStaysUsable) {
@@ -330,20 +330,16 @@ TEST(Journal, RandomCachesRoundTripByteIdenticallyInBothFormats) {
          --touches)
       (void)original.lookup(sigs[rng.below(n)]);
 
-    for (const bool v1 : {false, true}) {
-      const auto save = v1 ? jit::save_cache_v1 : jit::save_cache;
-      save(original, first.path);
-      jit::BitstreamCache loaded;
-      jit::load_cache(loaded, first.path);
-      ASSERT_EQ(loaded.entries(), original.entries())
-          << "trial=" << trial << " v1=" << v1;
-      save(loaded, second.path);
-      // Byte-identical second save: the load preserved entries *and* their
-      // LRU order exactly.
-      EXPECT_EQ(FaultyFile::read_all(first.path),
-                FaultyFile::read_all(second.path))
-          << "trial=" << trial << " v1=" << v1;
-    }
+    jit::save_cache(original, first.path);
+    jit::BitstreamCache loaded;
+    jit::load_cache(loaded, first.path);
+    ASSERT_EQ(loaded.entries(), original.entries()) << "trial=" << trial;
+    jit::save_cache(loaded, second.path);
+    // Byte-identical second save: the load preserved entries *and* their
+    // LRU order exactly.
+    EXPECT_EQ(FaultyFile::read_all(first.path),
+              FaultyFile::read_all(second.path))
+        << "trial=" << trial;
   }
 }
 
@@ -437,33 +433,37 @@ TEST(Journal, CompactionTriggersOnGarbageRatioAndShrinksTheFile) {
   EXPECT_TRUE(loaded.contains(7));
 }
 
-// -- Satellite: v1 -> v2 migration ------------------------------------------
+// -- Format versions: only the journal loads ---------------------------------
 
-TEST(Journal, V1FilesMigrateToV2OnAttach) {
-  TempPath file("/tmp/jitise_migrate.jrnl");
-  support::Xoshiro256 rng(fault_seed() ^ 0x0111u);
-  jit::BitstreamCache legacy;
-  for (std::uint64_t s = 1; s <= 3; ++s) legacy.insert(s, make_entry(rng, 16));
-  jit::save_cache_v1(legacy, file.path);
-
-  jit::BitstreamCache cache;
-  {
-    jit::CacheJournal journal(file.path);
-    const auto report = journal.attach(cache);
-    EXPECT_EQ(report.version, 1u);  // what the replay found on disk
-    EXPECT_EQ(report.entries, 3u);
-    // Migration already rewrote the file as a v2 journal; appends extend it.
-    cache.insert(9, make_entry(rng, 16));
-    journal.sync();
-  }
+TEST(Journal, V1FilesAreRefusedAndLeftUntouched) {
+  // A header of the retired whole-file format (`JITC` magic, version 1)
+  // followed by an entry count and payload bytes. Neither loader may read
+  // it, touch the cache, or rewrite the file.
+  TempPath file("/tmp/jitise_v1_refused.jrnl");
+  const std::uint32_t magic = 0x4A495443;  // "JITC"
+  const std::uint32_t version = 1;
+  const std::uint64_t count = 1;
+  std::vector<std::uint8_t> bytes(sizeof magic + sizeof version + sizeof count);
+  std::memcpy(bytes.data(), &magic, sizeof magic);
+  std::memcpy(bytes.data() + 4, &version, sizeof version);
+  std::memcpy(bytes.data() + 8, &count, sizeof count);
+  for (std::uint8_t b = 0; b < 32; ++b) bytes.push_back(b);
+  FaultyFile::write_all(file.path, bytes);
 
   jit::BitstreamCache loaded;
-  const auto report = jit::load_cache(loaded, file.path);
-  EXPECT_EQ(report.version, 2u);
-  EXPECT_EQ(report.records, 4u);
-  EXPECT_EQ(loaded.entries(), 4u);
-  for (const std::uint64_t s : {1ull, 2ull, 3ull, 9ull})
-    EXPECT_TRUE(loaded.contains(s)) << "signature " << s;
+  EXPECT_THROW(jit::load_cache(loaded, file.path), std::runtime_error);
+  EXPECT_EQ(loaded.entries(), 0u);
+  EXPECT_EQ(FaultyFile::read_all(file.path), bytes);
+
+  jit::BitstreamCache attached;
+  {
+    jit::CacheJournal journal(file.path);
+    EXPECT_THROW(journal.attach(attached), std::runtime_error);
+  }
+  EXPECT_EQ(attached.entries(), 0u);
+  EXPECT_EQ(attached.journal(), nullptr);
+  EXPECT_EQ(FaultyFile::read_all(file.path), bytes);
+  EXPECT_EQ(std::fopen((file.path + ".tmp").c_str(), "rb"), nullptr);
 }
 
 TEST(Journal, WarmStartAccumulatesAcrossAttachCycles) {

@@ -111,7 +111,7 @@ TEST_P(Pipeline, ParallelSearchMatchesSerialSearch) {
   serial_cfg.implement_hardware = false;
   serial_cfg.jobs = 1;
   jit::SpecializerConfig parallel_cfg = serial_cfg;
-  parallel_cfg.search_jobs = workers;
+  parallel_cfg.jobs = workers;
 
   const auto serial = jit::specialize(app.module, profile, serial_cfg);
   const auto parallel = jit::specialize(app.module, profile, parallel_cfg);
@@ -306,7 +306,7 @@ TEST(IsegenAcceptance, EndToEndSelectorIsDeterministicAcrossJobs) {
 
   const auto serial = jit::specialize(app.module, machine.profile(), cfg);
   jit::SpecializerConfig par = cfg;
-  par.search_jobs = 4;
+  par.jobs = 4;
   const auto parallel = jit::specialize(app.module, machine.profile(), par);
 
   EXPECT_GT(serial.isegen.iterations, 0u);

@@ -8,13 +8,13 @@
 #include "dfg/graph.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
-#include "ir/random_program.hpp"
 #include "support/rng.hpp"
 #include "ir/verifier.hpp"
 #include "ise/identify.hpp"
 #include "ise/isegen.hpp"
 #include "jit/pipeline.hpp"
 #include "jit/specializer.hpp"
+#include "random_program_fixture.hpp"
 #include "vm/interpreter.hpp"
 #include "woolcano/asip.hpp"
 
@@ -22,17 +22,7 @@ namespace {
 
 using namespace jitise;
 
-class RandomProgram : public ::testing::TestWithParam<std::uint64_t> {
- protected:
-  ir::Module generate() const {
-    ir::RandomProgramConfig config;
-    config.seed = GetParam();
-    config.num_functions = 1 + GetParam() % 3;
-    config.blocks_per_function = 6 + GetParam() % 9;
-    config.ops_per_block = 6 + GetParam() % 6;
-    return ir::generate_random_program(config);
-  }
-};
+using jitise::testing::RandomProgram;
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgram,
                          ::testing::Range<std::uint64_t>(1, 41));
@@ -153,27 +143,6 @@ TEST_P(AppProgram, MaxMisoPartitionInvariantsOnRealModules) {
       }
       EXPECT_EQ(total, graph.feasible_count())
           << GetParam() << " fn " << fn.name << " block " << b;
-    }
-  }
-}
-
-TEST_P(RandomProgram, ExactEnumRespectsConstraintsEverywhere) {
-  if (GetParam() > 10) GTEST_SKIP() << "exponential check on a subset only";
-  const ir::Module m = generate();
-  ise::ExactEnumConfig config;
-  config.max_steps = 1u << 16;
-  for (const ir::Function& fn : m.functions) {
-    for (ir::BlockId b = 0; b < fn.blocks.size(); ++b) {
-      const dfg::BlockDfg graph(fn, b);
-      if (graph.size() > 24) continue;
-      const auto result = ise::enumerate_exact(graph, config);
-      for (const auto& cand : result.candidates) {
-        EXPECT_LE(cand.inputs.size(), config.max_inputs);
-        EXPECT_LE(cand.outputs.size(), config.max_outputs);
-        std::vector<bool> in_set(graph.size(), false);
-        for (dfg::NodeId n : cand.nodes) in_set[n] = true;
-        EXPECT_TRUE(graph.is_convex(in_set));
-      }
     }
   }
 }

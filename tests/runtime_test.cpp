@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -134,7 +132,6 @@ TEST(CacheIo, SaveLoadRoundTrip) {
 
   jit::BitstreamCache loaded;
   const jit::CacheLoadReport report = jit::load_cache(loaded, path);
-  EXPECT_EQ(report.version, 2u);
   EXPECT_EQ(report.records, 2u);
   EXPECT_FALSE(report.recovered_truncation);
   EXPECT_EQ(loaded.entries(), 2u);
@@ -165,89 +162,24 @@ TEST(CacheIo, DetectsCorruption) {
     std::fputc(0xFF, f);
     std::fclose(f);
   }
-  // v2 journal: the record CRC catches the flip, and recovery keeps the
-  // valid prefix (here: nothing) instead of throwing — the corrupt entry
-  // must never surface.
+  // The record CRC catches the flip, and recovery keeps the valid prefix
+  // (here: nothing) instead of throwing — the corrupt entry must never
+  // surface.
   jit::BitstreamCache loaded;
   const jit::CacheLoadReport report = jit::load_cache(loaded, path);
   EXPECT_TRUE(report.recovered_truncation);
   EXPECT_EQ(loaded.entries(), 0u);
   EXPECT_FALSE(loaded.lookup(7).has_value());
   std::remove(path.c_str());
-
-  // Legacy v1 keeps its all-or-nothing contract: same corruption, but the
-  // load throws and the cache is cleared.
-  jit::save_cache_v1(cache, path);
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, -7, SEEK_END);
-    std::fputc(0xFF, f);
-    std::fclose(f);
-  }
-  jit::BitstreamCache v1_loaded;
-  EXPECT_THROW(jit::load_cache(v1_loaded, path), std::runtime_error);
-  EXPECT_EQ(v1_loaded.entries(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(CacheIo, MissingFileThrows) {
+  // An unopenable path throws and leaves the cache untouched.
   jit::BitstreamCache cache;
+  cache.insert(42, jit::CachedImplementation{});
   EXPECT_THROW(jit::load_cache(cache, "/nonexistent/dir/cache.bin"),
                std::runtime_error);
-}
-
-TEST(CacheIo, TruncatedV1FileFailsWithoutPartialState) {
-  // Legacy v1 contract (v2's prefix-preserving recovery is exercised in
-  // persistence_test): a v1 load must be all-or-nothing — on failure the
-  // cache is cleared (pre-existing entries included — they may have been
-  // shadowed by entries from the earlier part of the bad file) and the
-  // error says so.
-  jit::BitstreamCache cache;
-  jit::CachedImplementation entry;
-  entry.hw_cycles = 5;
-  entry.bitstream.bytes = {9, 9, 9, 9, 1, 2, 3, 4};
-  entry.bitstream.crc32 =
-      fpga::crc32(entry.bitstream.bytes.data(), entry.bitstream.bytes.size() - 4);
-  cache.insert(100, entry);
-  cache.insert(200, entry);
-  const std::string path = "/tmp/jitise_cache_truncated.bin";
-  jit::save_cache_v1(cache, path);
-
-  // Chop the file mid-way through the second entry.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_GT(size, 16);
-    ASSERT_EQ(truncate(path.c_str(), size - 10), 0);
-  }
-
-  jit::BitstreamCache loaded;
-  jit::CachedImplementation unrelated;
-  unrelated.hw_cycles = 77;
-  loaded.insert(999, unrelated);  // pre-existing state must not survive
-  try {
-    jit::load_cache(loaded, path);
-    FAIL() << "truncated file must throw";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos);
-    EXPECT_NE(what.find("cache cleared"), std::string::npos);
-  }
-  EXPECT_EQ(loaded.entries(), 0u);
-  EXPECT_FALSE(loaded.lookup(100).has_value());
-  EXPECT_FALSE(loaded.lookup(999).has_value());
-
-  // An unopenable path, by contrast, leaves the cache untouched.
-  jit::BitstreamCache untouched;
-  untouched.insert(42, entry);
-  EXPECT_THROW(jit::load_cache(untouched, "/nonexistent/dir/cache.bin"),
-               std::runtime_error);
-  EXPECT_EQ(untouched.entries(), 1u);
-  std::remove(path.c_str());
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // Three layers of coverage:
 //   * unit contracts: every submitted task runs exactly once, LIFO-local /
 //     FIFO-steal mechanics actually steal across workers, phase counters and
-//     occupancy stats are wired, the destructor drains, and TaskGroup keeps
-//     the ThreadPool error contract (lowest-task-id rethrow, batch reset,
-//     draining destructor);
+//     occupancy stats are wired, the default width is at least one worker,
+//     the destructor drains, and TaskGroup keeps its error contract
+//     (lowest-task-id rethrow, batch reset, draining destructor);
 //   * randomized stress: N concurrent sessions each submit a seeded
 //     Search→Estimate→Cad task graph into ONE shared pool; per-session
 //     checksums must be bit-identical to a serial evaluation of the same
@@ -131,6 +131,12 @@ TEST(WorkStealingPool, DestructorDrainsQueuedTasksWithoutWait) {
     // the group's own destructor must not return before they finish.
   }
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(WorkStealingPool, DefaultWorkersIsAtLeastOne) {
+  EXPECT_GE(WorkStealingPool::default_workers(), 1u);
+  WorkStealingPool pool;  // 0 workers means default_workers()
+  EXPECT_EQ(pool.workers(), WorkStealingPool::default_workers());
 }
 
 TEST(TaskGroup, RethrowsLowestTaskIdAcrossWorkers) {

@@ -107,8 +107,8 @@ TEST(Server, BackpressureRejectsWhenQueueFull) {
   // These queue-mechanics tests submit identical (module, profile) payloads
   // on purpose; coalescing would fold them into one run instead of queueing.
   config.coalesce_requests = false;
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket running = srv.submit(make_request("t"));
@@ -143,8 +143,8 @@ TEST(Server, RoundRobinFairnessUnderTenantFlood) {
   config.queue_capacity = 16;
   config.specializer.jobs = 1;
   config.coalesce_requests = false;  // identical payloads must queue
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   // Tenant A floods the queue while the single worker is pinned on A's
@@ -176,8 +176,8 @@ TEST(Server, PriorityOrdersWithinOneTenant) {
   config.workers = 1;
   config.specializer.jobs = 1;
   config.coalesce_requests = false;  // identical payloads must queue
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket first = srv.submit(make_request("t"));
@@ -209,8 +209,8 @@ TEST(Server, DeadlineExpiresWhileQueued) {
   config.workers = 1;
   config.specializer.jobs = 1;
   config.coalesce_requests = false;  // identical payloads must queue
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket running = srv.submit(make_request("t"));
@@ -434,15 +434,14 @@ TEST(Server, SingleTenantMatchesDirectSpecialize) {
 
 namespace {
 
-/// Runs every app through a server with the given substrate and returns the
-/// outcomes in submission order (each request waited before the next is
-/// submitted, so the shared cache/estimate discipline matches a serial run).
+/// Runs every app through a server with the given pool width and session
+/// `jobs`, and returns the outcomes in submission order (each request waited
+/// before the next is submitted, so the shared cache/estimate discipline
+/// matches a serial run).
 std::vector<server::RequestOutcome> serve_all(
-    const std::vector<std::string>& apps, unsigned jobs, bool shared_executor,
-    unsigned workers) {
+    const std::vector<std::string>& apps, unsigned jobs, unsigned workers) {
   server::ServerConfig config;
   config.workers = workers;
-  config.shared_executor = shared_executor;
   config.specializer.jobs = jobs;
   server::SpecializationServer srv(config);
   std::vector<server::RequestOutcome> served;
@@ -480,25 +479,44 @@ void expect_results_identical(const std::vector<server::RequestOutcome>& a,
 }  // namespace
 
 // Acceptance gate: every request's SpecializationResult must be bit-identical
-// across the three execution substrates — strictly serial (jobs=1, no pool),
-// legacy per-session private pools (shared_executor=false), and the global
-// work-stealing pool — for arbitrary worker counts (JITISE_JOBS sweeps them
-// in CI).
+// between strictly serial sessions (jobs=1, no pool tasks) and sessions on
+// the global work-stealing pool, for arbitrary worker counts (JITISE_JOBS
+// sweeps them in CI).
 TEST(Server, ExecutorSubstratesAreBitIdentical) {
   const std::vector<std::string> apps = {"adpcm", "fft", "adpcm"};
   unsigned jobs = 4;
   if (const char* env = std::getenv("JITISE_JOBS"))
     jobs = static_cast<unsigned>(std::max(1, std::atoi(env)));
 
-  const auto serial = serve_all(apps, /*jobs=*/1, /*shared=*/true,
-                                /*workers=*/1);
-  const auto private_pools = serve_all(apps, jobs, /*shared=*/false,
-                                       /*workers=*/2);
-  const auto stealing = serve_all(apps, jobs, /*shared=*/true,
-                                  /*workers=*/jobs);
+  const auto serial = serve_all(apps, /*jobs=*/1, /*workers=*/1);
+  const auto stealing = serve_all(apps, jobs, /*workers=*/jobs);
 
-  expect_results_identical(serial, private_pools, apps, "serial-vs-private ");
   expect_results_identical(serial, stealing, apps, "serial-vs-stealing ");
+}
+
+// Sessions borrow the shared pool under the default `jobs = 0` whatever the
+// host's core count — even a one-worker pool — and only `jobs = 1` keeps
+// them off it.
+TEST(Server, SessionsRunOnSharedPoolUnlessJobsIsOne) {
+  for (const unsigned jobs : {0u, 1u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    server::ServerConfig config;
+    config.workers = 1;
+    config.specializer.jobs = jobs;
+    server::SpecializationServer srv(config);
+    EXPECT_EQ(srv.submit(make_request("t", "fft")).wait().state,
+              server::RequestState::Done);
+    srv.drain();
+    const support::ExecutorStats stats = srv.stats().executor;
+    EXPECT_EQ(stats.workers, 1u);
+    if (jobs == 1) {
+      EXPECT_EQ(stats.total_tasks(), 0u);
+    } else {
+      EXPECT_GT(stats.tasks_per_phase[static_cast<std::size_t>(
+                    support::Phase::Cad)],
+                0u);
+    }
+  }
 }
 
 TEST(Server, ExecutorStatsSurfaceTaskAndOccupancyCounts) {
@@ -591,8 +609,8 @@ TEST(Server, CoalescedFollowerMatchesLeaderBitIdentical) {
   server::ServerConfig config;
   config.workers = 1;
   config.specializer.jobs = 1;
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket leader = srv.submit(make_request("a"));
@@ -648,8 +666,8 @@ TEST(Server, FollowerCancelLeavesLeaderRunning) {
   server::ServerConfig config;
   config.workers = 1;
   config.specializer.jobs = 1;
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket leader = srv.submit(make_request("t"));
@@ -681,8 +699,8 @@ TEST(Server, FollowerDeadlineExpiryDetachesFromLeader) {
   server::ServerConfig config;
   config.workers = 1;
   config.specializer.jobs = 1;
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket leader = srv.submit(make_request("t"));
@@ -709,8 +727,8 @@ TEST(Server, LeaderCancelPromotesOldestFollower) {
   server::ServerConfig config;
   config.workers = 1;
   config.specializer.jobs = 1;
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket leader = srv.submit(make_request("t"));
@@ -745,8 +763,8 @@ TEST(Server, DuplicateFloodRunsPipelineOncePerSignature) {
   config.workers = 2;
   config.queue_capacity = 2;  // followers are exempt from capacity
   config.specializer.jobs = 1;
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket lead_a = srv.submit(make_request("t0", "adpcm"));
@@ -801,8 +819,8 @@ TEST(Server, DeadQueuedRequestsFreeCapacityForLiveTraffic) {
   config.queue_capacity = 2;
   config.specializer.jobs = 1;
   config.coalesce_requests = false;  // identical payloads must queue
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
-  GateObserver gate;
   srv.add_observer(&gate);
 
   server::Ticket running = srv.submit(make_request("t"));

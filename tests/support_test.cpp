@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -13,7 +11,7 @@
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
+#include "support/work_stealing_pool.hpp"
 
 namespace {
 
@@ -144,89 +142,6 @@ TEST(Table, Strf) {
   EXPECT_EQ(strf("%d/%d", 3, 4), "3/4");
 }
 
-TEST(ThreadPool, ResultSlotsAreDeterministic) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  constexpr std::size_t kTasks = 200;
-  std::vector<int> results(kTasks, -1);
-  for (std::size_t k = 0; k < kTasks; ++k) {
-    const std::size_t id = pool.submit(
-        [&results, k] { results[k] = static_cast<int>(k * k); });
-    EXPECT_EQ(id, k);  // dense 0-based ids in submission order
-  }
-  pool.wait_all();
-  for (std::size_t k = 0; k < kTasks; ++k)
-    EXPECT_EQ(results[k], static_cast<int>(k * k));
-}
-
-TEST(ThreadPool, RethrowsLowestTaskIdException) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 3; ++round) {  // reusable across batches
-    std::atomic<int> ran{0};
-    for (int k = 0; k < 20; ++k) {
-      pool.submit([&ran, k] {
-        ++ran;
-        if (k == 7 || k == 13)
-          throw std::runtime_error("task " + std::to_string(k));
-      });
-    }
-    try {
-      pool.wait_all();
-      FAIL() << "wait_all must rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "task 7");  // lowest id, not completion order
-    }
-    EXPECT_EQ(ran.load(), 20);  // the batch still ran to completion
-  }
-}
-
-// Regression for the shutdown contract: the destructor must DRAIN — every
-// task submitted before destruction began runs exactly once, even if the
-// pool is destroyed while most of the batch is still queued behind slow
-// tasks and nobody ever calls wait_all(). (WorkStealingPool inherits this
-// exact contract; scheduler_test covers its side.)
-TEST(ThreadPool, DestructorDrainsQueuedTasksWithoutWaitAll) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int k = 0; k < 32; ++k) {
-      pool.submit([&ran, k] {
-        // The first tasks hog both workers long enough that destruction
-        // begins with most of the batch still queued.
-        if (k < 2) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        ++ran;
-      });
-    }
-    // No wait_all(): destruction alone must run the remaining 30 tasks.
-  }
-  EXPECT_EQ(ran.load(), 32);
-}
-
-// Errors in a batch nobody waits for are swallowed by the destructor, not
-// rethrown or turned into std::terminate.
-TEST(ThreadPool, DestructorSwallowsErrorsOfUnwaitedBatch) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int k = 0; k < 8; ++k) {
-      pool.submit([&ran] {
-        ++ran;
-        throw std::runtime_error("unobserved");
-      });
-    }
-  }
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, DefaultJobsIsAtLeastOne) {
-  EXPECT_GE(ThreadPool::default_jobs(), 1u);
-  ThreadPool pool;  // default-sized pool works
-  std::atomic<int> sum{0};
-  for (int k = 1; k <= 10; ++k) pool.submit([&sum, k] { sum += k; });
-  pool.wait_all();
-  EXPECT_EQ(sum.load(), 55);
-}
-
 TEST(OrderedReducer, DeliversInIndexOrderDespiteShuffledProducers) {
   // Producers fill slots in a deliberately scrambled order with jitter;
   // the consumer must still see every value at its own index, and `take`
@@ -242,16 +157,17 @@ TEST(OrderedReducer, DeliversInIndexOrderDespiteShuffledProducers) {
   for (std::size_t i = order.size(); i > 1; --i)
     std::swap(order[i - 1], order[rng.below(i)]);
 
-  ThreadPool pool(4);
+  WorkStealingPool pool(4);
+  TaskGroup group;
   for (const std::size_t slot : order) {
-    pool.submit([&reducer, slot] {
+    pool.submit(Phase::Search, group, [&reducer, slot] {
       if (slot % 3 == 0)
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       reducer.put(slot, slot * 10);
     });
   }
   for (std::size_t i = 0; i < kSlots; ++i) EXPECT_EQ(reducer.take(i), i * 10);
-  pool.wait_all();
+  group.wait();
 }
 
 TEST(OrderedReducer, SupportsMoveOnlyValues) {
