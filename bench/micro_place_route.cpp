@@ -1,10 +1,19 @@
 // Micro-benchmark: place & route scaling with design size — our stand-in
 // for the paper's observation that map/PAR are the only candidate-size-
 // dependent stages of the implementation flow.
+//
+// BM_Place/BM_Route run synthetic chain netlists (fan-out around 12);
+// BM_PlaceCandidate/BM_RouteCandidate run the largest selected candidate of
+// three apps, whose head and operand buses reach hundreds of sinks: the
+// shape the CAD flow actually places.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
+#include "apps/app.hpp"
 #include "fpga/place.hpp"
 #include "fpga/route.hpp"
+#include "jit/pipeline.hpp"
 #include "support/rng.hpp"
 
 using namespace jitise;
@@ -57,6 +66,85 @@ void BM_Route(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Route)->RangeMultiplier(2)->Range(32, 512)->Complexity();
+
+/// The largest (by cell count) selected candidate of `app_name`, synthesized
+/// as the CAD flow does, with the flow's per-candidate placer seed.
+struct Candidate {
+  fpga::MappedDesign design;
+  fpga::PlacerConfig placer;
+};
+
+Candidate largest_selected_candidate(const char* app_name) {
+  const apps::App app = apps::build_app(app_name);
+  vm::Machine machine(app.module);
+  machine.run(app.entry, app.datasets[0].args, 1ull << 30);
+  const jit::SpecializerConfig cfg;
+  hwlib::CircuitDb db;
+  jit::ObserverList observers;
+  jit::SearchArtifact art;
+  jit::CandidateSearchStage(cfg).run(app.module, machine.profile(), db,
+                                     observers, art);
+  Candidate best;
+  for (std::size_t idx : art.selection.chosen) {
+    const auto project = datapath::create_project(
+        *art.graphs[art.graph_of[idx]], art.scored[idx].candidate, db, "ci");
+    auto design = fpga::synthesize_top(project.netlist);
+    if (design.cell_count() <= best.design.cell_count()) continue;
+    best.design = std::move(design);
+    best.placer = cfg.flow.placer;
+    best.placer.seed ^= project.signature;
+  }
+  return best;
+}
+
+void shape_counters(benchmark::State& state, const fpga::MappedDesign& d) {
+  std::size_t fanout = 0;
+  for (const fpga::MappedNet& net : d.nets)
+    fanout = std::max(fanout, net.sinks.size());
+  state.counters["cells"] = static_cast<double>(d.cell_count());
+  state.counters["nets"] = static_cast<double>(d.net_count());
+  state.counters["max_fanout"] = static_cast<double>(fanout);
+}
+
+void BM_PlaceCandidate(benchmark::State& state, const char* app) {
+  const Candidate c = largest_selected_candidate(app);
+  const fpga::Fabric fabric;
+  std::uint64_t moves = 0;
+  for (auto _ : state) {
+    auto placement = fpga::place(c.design, fabric, c.placer);
+    moves += placement.moves_tried;
+    benchmark::DoNotOptimize(placement);
+  }
+  shape_counters(state, c.design);
+  state.counters["moves/s"] = benchmark::Counter(
+      static_cast<double>(moves), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_PlaceCandidate, whetstone, "whetstone")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlaceCandidate, namd, "444.namd")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlaceCandidate, ammp, "188.ammp")
+    ->Unit(benchmark::kMillisecond);
+
+void BM_RouteCandidate(benchmark::State& state, const char* app) {
+  const Candidate c = largest_selected_candidate(app);
+  const fpga::Fabric fabric;
+  const auto placement = fpga::place(c.design, fabric, c.placer);
+  std::uint64_t wirelength = 0;
+  for (auto _ : state) {
+    auto routing = fpga::route(c.design, fabric, placement);
+    wirelength = routing.total_wirelength;
+    benchmark::DoNotOptimize(routing);
+  }
+  shape_counters(state, c.design);
+  state.counters["wirelength"] = static_cast<double>(wirelength);
+}
+BENCHMARK_CAPTURE(BM_RouteCandidate, whetstone, "whetstone")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RouteCandidate, namd, "444.namd")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RouteCandidate, ammp, "188.ammp")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

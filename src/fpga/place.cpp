@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "support/rng.hpp"
 
@@ -19,6 +20,48 @@ double net_hpwl(const MappedNet& net, const std::vector<Coord>& loc) {
     ymax = std::max(ymax, loc[s].y);
   }
   return static_cast<double>(xmax - xmin) + static_cast<double>(ymax - ymin);
+}
+
+/// Rows of ids flattened into one array (compressed sparse rows): row `r`
+/// is `items[offset[r] .. offset[r + 1])`.
+struct Csr {
+  std::vector<std::uint32_t> offset{0};
+  std::vector<std::uint32_t> items;
+
+  [[nodiscard]] std::span<const std::uint32_t> row(std::size_t r) const {
+    return {items.data() + offset[r], items.data() + offset[r + 1]};
+  }
+};
+
+/// A net's bounding box; its half perimeter is the net's HPWL.
+struct Box {
+  std::uint16_t xmin = 0, xmax = 0, ymin = 0, ymax = 0;
+
+  [[nodiscard]] std::int64_t hpwl() const {
+    return (xmax - xmin) + (ymax - ymin);
+  }
+  /// True when `p` lies on no edge of the box, so removing a pin at `p`
+  /// cannot shrink it.
+  [[nodiscard]] bool strictly_contains(Coord p) const {
+    return xmin < p.x && p.x < xmax && ymin < p.y && p.y < ymax;
+  }
+  void extend(Coord p) {
+    xmin = std::min(xmin, p.x);
+    xmax = std::max(xmax, p.x);
+    ymin = std::min(ymin, p.y);
+    ymax = std::max(ymax, p.y);
+  }
+};
+
+/// Nets with at most this many pins are rescanned on every move.
+constexpr std::size_t kAlwaysRescanPins = 8;
+
+Box bounding_box(std::span<const std::uint32_t> cells,
+                 const std::vector<Coord>& loc) {
+  const Coord first = loc[cells.front()];
+  Box box{first.x, first.x, first.y, first.y};
+  for (std::uint32_t c : cells.subspan(1)) box.extend(loc[c]);
+  return box;
 }
 
 }  // namespace
@@ -51,6 +94,7 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
   check_fit(design, fabric);
   support::Xoshiro256 rng(config.seed);
   const std::size_t n = design.cells.size();
+  const std::size_t num_nets = design.nets.size();
 
   Placement pl;
   pl.location.resize(n);
@@ -87,42 +131,73 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
   };
   for (hwlib::CellId c = 0; c < n; ++c) occupant[site_index(pl.location[c])] = c;
 
-  // Incremental cost bookkeeping: nets touching a cell.
-  std::vector<std::vector<std::uint32_t>> nets_of_cell(n);
-  for (std::uint32_t ni = 0; ni < design.nets.size(); ++ni) {
+  // Pins of each net (driver first, then the sinks as listed) and the nets
+  // touching each cell, flattened into CSR rows. A driver lists its net
+  // once and every sink entry of another cell lists it once more: a net
+  // listed k times for a cell counts k times in that cell's move delta.
+  std::vector<std::vector<std::uint32_t>> cell_nets(n);
+  Csr pins;
+  for (std::uint32_t ni = 0; ni < num_nets; ++ni) {
     const MappedNet& net = design.nets[ni];
-    nets_of_cell[net.driver].push_back(ni);
+    cell_nets[net.driver].push_back(ni);
     for (hwlib::CellId s : net.sinks)
-      if (s != net.driver) nets_of_cell[s].push_back(ni);
+      if (s != net.driver) cell_nets[s].push_back(ni);
+    pins.items.push_back(net.driver);
+    pins.items.insert(pins.items.end(), net.sinks.begin(), net.sinks.end());
+    pins.offset.push_back(static_cast<std::uint32_t>(pins.items.size()));
+  }
+  Csr nets_of_cell;
+  for (const std::vector<std::uint32_t>& nets : cell_nets) {
+    nets_of_cell.items.insert(nets_of_cell.items.end(), nets.begin(),
+                              nets.end());
+    nets_of_cell.offset.push_back(
+        static_cast<std::uint32_t>(nets_of_cell.items.size()));
   }
 
-  double cost = total_hpwl(design, pl.location);
+  // Incremental cost: every net's bounding box is kept for the whole run.
+  std::vector<Box> box(num_nets);
+  for (std::size_t ni = 0; ni < num_nets; ++ni)
+    box[ni] = bounding_box(pins.row(ni), pl.location);
+
+  const double cost = total_hpwl(design, pl.location);
   const double avg_net =
       design.nets.empty() ? 1.0 : cost / static_cast<double>(design.nets.size());
   double temp = std::max(0.5, config.initial_temp * std::max(1.0, avg_net));
 
+  // New boxes of the nets the current move touches, committed on accept.
+  std::vector<Box> next_box(num_nets);
+
+  // Cost delta of moving a -> pb (and occupant b -> pa if b >= 0), with the
+  // move already applied to pl.location. Sums HPWL(new box) - HPWL(old box)
+  // over the same net entries the from-scratch recomputation summed over;
+  // every term is an integer, so the double result is exactly its delta.
   auto delta_for = [&](hwlib::CellId a, std::int64_t b, Coord pa, Coord pb) {
-    // Cost delta of moving a -> pb (and occupant b -> pa if b >= 0).
-    double before = 0.0, after = 0.0;
-    auto accumulate = [&](hwlib::CellId cell) {
-      for (std::uint32_t ni : nets_of_cell[cell])
-        before += net_hpwl(design.nets[ni], pl.location);
+    std::int64_t delta = 0;
+    // `cell` moved from `from` to `to`. If `from` was interior to the box,
+    // no edge moved inward: the box only grows to take in `to`. Otherwise
+    // rescan with the tentative locations. A net holding both swapped cells
+    // keeps its set of pin positions, and `to` already lies in its box, so
+    // the rule gives its (unchanged) box too. Small nets are always
+    // rescanned: that is cheaper than the poorly predicted interior test.
+    auto accumulate = [&](hwlib::CellId cell, Coord from, Coord to) {
+      for (std::uint32_t ni : nets_of_cell.row(cell)) {
+        const std::span<const std::uint32_t> net_pins = pins.row(ni);
+        Box moved = box[ni];
+        if (net_pins.size() > kAlwaysRescanPins &&
+            moved.strictly_contains(from))
+          moved.extend(to);
+        else
+          moved = bounding_box(net_pins, pl.location);
+        delta += moved.hpwl() - box[ni].hpwl();
+        next_box[ni] = moved;
+      }
     };
-    accumulate(a);
-    if (b >= 0) accumulate(static_cast<hwlib::CellId>(b));
-    pl.location[a] = pb;
-    if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pa;
-    auto accumulate_after = [&](hwlib::CellId cell) {
-      for (std::uint32_t ni : nets_of_cell[cell])
-        after += net_hpwl(design.nets[ni], pl.location);
-    };
-    accumulate_after(a);
-    if (b >= 0) accumulate_after(static_cast<hwlib::CellId>(b));
-    // Shared nets are double counted identically on both sides; fine for a
-    // delta. Restore; caller commits if accepted.
-    pl.location[a] = pa;
-    if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pb;
-    return after - before;
+    accumulate(a, pa, pb);
+    if (b >= 0) accumulate(static_cast<hwlib::CellId>(b), pb, pa);
+    return static_cast<double>(delta);
+  };
+  auto commit = [&](hwlib::CellId cell) {
+    for (std::uint32_t ni : nets_of_cell.row(cell)) box[ni] = next_box[ni];
   };
 
   if (n > 0) {
@@ -142,14 +217,18 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
             pool_of(design.cells[static_cast<std::size_t>(b)].kind) !=
                 pool_of(design.cells[a].kind))
           continue;  // incompatible swap (different column kinds)
+        pl.location[a] = pb;
+        if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pa;
         const double delta = delta_for(a, b, pa, pb);
         if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temp)) {
-          pl.location[a] = pb;
           occupant[site_index(pb)] = a;
           occupant[site_index(pa)] = b;
-          if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pa;
-          cost += delta;
+          commit(a);
+          if (b >= 0) commit(static_cast<hwlib::CellId>(b));
           ++pl.moves_accepted;
+        } else {
+          pl.location[a] = pa;
+          if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pb;
         }
       }
       temp *= config.cooling;

@@ -3,6 +3,16 @@
 // Classic VPR-style annealer: half-perimeter wirelength (HPWL) cost,
 // move = relocate a random cell to a random compatible site (swapping with
 // any occupant), geometric cooling, deterministic under a fixed seed.
+//
+// Move costs are incremental (VPR's bounding boxes, Betz & Rose, FPL'97):
+// each net keeps its bounding box for the whole run. A move whose cell sat
+// strictly inside a net's box only extends that box by the new position;
+// otherwise the net is rescanned, as are nets of at most 8 pins.
+// The delta sums HPWL(new box) - HPWL(old box) over the same per-cell net
+// lists, multiplicities included, that a from-scratch recomputation would
+// sum over. Every term is an integer, so each delta, each accept decision
+// and each random draw equals the from-scratch annealer's: placements and
+// counters are bit-identical to it.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,8 @@
 #include "fpga/route.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <bit>
+#include <functional>
 #include <set>
 
 namespace jitise::fpga {
@@ -59,6 +60,7 @@ RoutingResult route(const MappedDesign& design, const Fabric& fabric,
                     const Placement& placement, const RouterConfig& config) {
   const RoutingGraph graph(fabric);
   const double capacity = fabric.channel_capacity();
+  const std::size_t num_tiles = graph.num_tiles();
 
   RoutingResult result;
   result.nets.resize(design.nets.size());
@@ -66,21 +68,70 @@ RoutingResult route(const MappedDesign& design, const Fabric& fabric,
   std::vector<std::uint16_t> usage(graph.num_edges(), 0);
   std::vector<double> history(graph.num_edges(), 0.0);
 
-  // Pin tiles per net (driver first), deduplicated.
+  // Pin tiles per net (driver first), deduplicated in first-seen order.
   std::vector<std::vector<std::uint32_t>> pins(design.nets.size());
+  std::vector<std::size_t> pin_of_net(num_tiles, 0);  // last net index + 1
   for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
     const MappedNet& net = design.nets[ni];
-    const Coord d = placement.location[net.driver];
-    pins[ni].push_back(graph.tile(d.x, d.y));
-    for (hwlib::CellId s : net.sinks) {
-      const Coord p = placement.location[s];
+    auto add_pin = [&](hwlib::CellId cell) {
+      const Coord p = placement.location[cell];
       const std::uint32_t t = graph.tile(p.x, p.y);
-      if (std::find(pins[ni].begin(), pins[ni].end(), t) == pins[ni].end())
-        pins[ni].push_back(t);
-    }
+      if (pin_of_net[t] == ni + 1) return;
+      pin_of_net[t] = ni + 1;
+      pins[ni].push_back(t);
+    };
+    add_pin(net.driver);
+    for (hwlib::CellId s : net.sinks) add_pin(s);
   }
 
+  // Dijkstra scratch shared by every sink search of the call: dist[t] and
+  // via_edge[t] hold only while reached[t] == search, a fresh stamp per
+  // search, so nothing is reallocated or cleared per sink.
+  constexpr double kInf = 1e30;
+  std::vector<double> dist(num_tiles, kInf);
+  std::vector<std::uint32_t> via_edge(num_tiles, ~0u);
+  std::vector<std::uint64_t> reached(num_tiles, 0);
+  std::uint64_t search = 0;
+  auto distance = [&](std::uint32_t t) {
+    return reached[t] == search ? dist[t] : kInf;
+  };
+  using QE = std::pair<double, std::uint32_t>;
+  std::vector<QE> heap;  // min-heap under std::greater
+
+  // The net's routing tree as a tile bitmap, visited in ascending order.
+  std::vector<std::uint64_t> tree((num_tiles + 63) / 64);
+  auto in_tree = [&](std::uint32_t t) {
+    return ((tree[t / 64] >> (t % 64)) & 1u) != 0;
+  };
+  auto add_to_tree = [&](std::uint32_t t) {
+    tree[t / 64] |= std::uint64_t{1} << (t % 64);
+  };
+  auto for_each_tree_tile = [&](auto&& fn) {
+    for (std::size_t w = 0; w < tree.size(); ++w)
+      for (std::uint64_t bits = tree[w]; bits != 0; bits &= bits - 1)
+        fn(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+  };
+
   double present_penalty = config.present_factor;
+
+  auto relax = [&](std::uint32_t t) {
+    std::uint32_t out[4];
+    unsigned n_out;
+    graph.out_edges(t, out, n_out);
+    for (unsigned i = 0; i < n_out; ++i) {
+      const std::uint32_t e = out[i];
+      const double over = std::max(0.0, (usage[e] + 1.0) - capacity);
+      const double cost = 1.0 + history[e] + present_penalty * over * over;
+      const std::uint32_t to = graph.edge(e).to;
+      if (dist[t] + cost < distance(to)) {
+        reached[to] = search;
+        dist[to] = dist[t] + cost;
+        via_edge[to] = e;
+        heap.emplace_back(dist[to], to);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+      }
+    }
+  };
 
   for (std::uint32_t iter = 1; iter <= config.max_iterations; ++iter) {
     result.iterations = iter;
@@ -92,53 +143,41 @@ RoutingResult route(const MappedDesign& design, const Fabric& fabric,
       if (pins[ni].size() < 2) continue;  // single-tile net
 
       // Grow a tree: tiles already in the tree have cost 0 as sources.
-      std::set<std::uint32_t> tree_tiles{pins[ni][0]};
+      std::fill(tree.begin(), tree.end(), 0);
+      add_to_tree(pins[ni][0]);
       for (std::size_t k = 1; k < pins[ni].size(); ++k) {
         const std::uint32_t target = pins[ni][k];
-        if (tree_tiles.count(target)) continue;
+        if (in_tree(target)) continue;
 
-        // Dijkstra from all tree tiles to `target`.
-        constexpr double kInf = 1e30;
-        std::vector<double> dist(graph.num_tiles(), kInf);
-        std::vector<std::uint32_t> via_edge(graph.num_tiles(), ~0u);
-        using QE = std::pair<double, std::uint32_t>;
-        std::priority_queue<QE, std::vector<QE>, std::greater<>> queue;
-        for (std::uint32_t t : tree_tiles) {
+        // Dijkstra from all tree tiles to `target`. The tree tiles sit at
+        // distance 0 and every edge costs at least 1, so a heap seeded with
+        // them would pop them first, in ascending tile order: relax them
+        // directly in that order instead.
+        ++search;
+        heap.clear();
+        for_each_tree_tile([&](std::uint32_t t) {
+          reached[t] = search;
           dist[t] = 0.0;
-          queue.emplace(0.0, t);
-        }
-        while (!queue.empty()) {
-          const auto [dcur, t] = queue.top();
-          queue.pop();
+        });
+        for_each_tree_tile(relax);
+        while (!heap.empty()) {
+          std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+          const auto [dcur, t] = heap.back();
+          heap.pop_back();
           if (dcur > dist[t]) continue;
           if (t == target) break;
-          std::uint32_t out[4];
-          unsigned n_out;
-          graph.out_edges(t, out, n_out);
-          for (unsigned i = 0; i < n_out; ++i) {
-            const std::uint32_t e = out[i];
-            const double over =
-                std::max(0.0, (usage[e] + 1.0) - capacity);
-            const double cost =
-                1.0 + history[e] + present_penalty * over * over;
-            const std::uint32_t to = graph.edge(e).to;
-            if (dist[t] + cost < dist[to]) {
-              dist[to] = dist[t] + cost;
-              via_edge[to] = e;
-              queue.emplace(dist[to], to);
-            }
-          }
+          relax(t);
         }
-        if (dist[target] >= kInf)
+        if (distance(target) >= kInf)
           throw CadError("router: sink unreachable in fabric graph");
 
         // Trace back, claim edges, add tiles to the tree.
         std::uint32_t t = target;
-        while (!tree_tiles.count(t)) {
+        while (!in_tree(t)) {
           const std::uint32_t e = via_edge[t];
           routed.edges.push_back(e);
           ++usage[e];
-          tree_tiles.insert(t);
+          add_to_tree(t);
           t = graph.edge(e).from;
         }
       }

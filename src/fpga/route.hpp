@@ -6,6 +6,15 @@
 // whose edge cost combines base cost, present congestion and a history term
 // that grows on every overused edge (McMurchie & Ebeling, FPGA'95). Rip-up
 // and reroute iterations continue until the routing is feasible.
+//
+// The per-sink Dijkstra reuses one distance map per call (validated by a
+// per-search stamp instead of reallocated) and keeps the tree as a tile
+// bitmap. Tree tiles are relaxed directly in ascending tile order rather
+// than pushed into the heap: with every edge costing at least 1 (true for
+// non-negative `present_factor` and `history_increment`) a heap seeded with
+// them pops them first in exactly that order, and the remaining pushes and
+// pops are unchanged. Routes are bit-identical to the search that seeds
+// the heap with the whole tree for every sink.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "apps/app.hpp"
 #include "cad/flow.hpp"
 #include "cad/runtime_model.hpp"
 #include "cad/syntax.hpp"
@@ -12,7 +15,11 @@
 #include "fpga/synthesis.hpp"
 #include "ir/builder.hpp"
 #include "ise/identify.hpp"
+#include "jit/pipeline.hpp"
+#include "support/rng.hpp"
 #include "support/statistics.hpp"
+
+#include "cad_reference.hpp"
 
 namespace {
 
@@ -325,6 +332,188 @@ TEST(Flow, FastPlacerMode) {
   const auto result = cad::implement_candidate(project, fast);
   EXPECT_GT(result.bitstream.size_bytes(), 0u);
   EXPECT_FALSE(result.timing.combinational_loop);
+}
+
+// ---- Differential tests: place() and route() against the reference -------
+
+/// A random design shaped like the generated candidates: a head cell drives
+/// a bus of `bus_sinks` entries drawn with repetition (so cells recur on it),
+/// one sink is listed twice on a net, one cell sinks its own output, and
+/// every other cell drives 1-3 random sinks. The last `dsp` cells are DSPs.
+fpga::MappedDesign random_design(std::uint64_t seed, std::size_t cells,
+                                 std::size_t dsp, std::size_t bus_sinks) {
+  support::Xoshiro256 rng(seed);
+  fpga::MappedDesign d;
+  d.name = "random";
+  d.cells.resize(cells);
+  d.cells[0].kind = hwlib::CellKind::PortIn;
+  for (std::size_t i = 0; i < dsp; ++i)
+    d.cells[cells - 1 - i].kind = hwlib::CellKind::Dsp;
+  auto any_cell = [&] { return static_cast<hwlib::CellId>(rng.below(cells)); };
+
+  fpga::MappedNet bus{1, {}};
+  for (std::size_t k = 0; k < bus_sinks; ++k) bus.sinks.push_back(any_cell());
+  d.nets.push_back(bus);
+  for (hwlib::CellId c = 2; c < cells; ++c) {
+    fpga::MappedNet net{c, {}};
+    const std::uint64_t fanout = 1 + rng.below(3);
+    for (std::uint64_t k = 0; k < fanout; ++k) net.sinks.push_back(any_cell());
+    d.nets.push_back(net);
+  }
+  d.nets.push_back({0, {2, 3, 2}});  // sink 2 listed twice
+  d.nets.push_back({3, {3, 4}});     // cell 3 sinks its own output
+  return d;
+}
+
+/// A small square fabric: a DSP column every fifth column, no BRAM.
+fpga::Fabric small_fabric(std::uint16_t side, std::uint16_t wires) {
+  return fpga::Fabric(fpga::FabricConfig{side, side, 5, 0, wires});
+}
+
+struct CandidateDesign {
+  fpga::MappedDesign design;
+  fpga::PlacerConfig placer;  // the CAD flow's, seeded per candidate
+};
+
+/// The distinct candidates the pipeline implements for three apps with large
+/// designs (up to 885 cells and a 387-sink head bus): every final and every
+/// provisional (speculatively implemented) selection, built the way the
+/// pipeline builds them. Built once per test binary.
+const std::vector<CandidateDesign>& candidate_corpus() {
+  static const std::vector<CandidateDesign> corpus = [] {
+    std::vector<CandidateDesign> all;
+    std::set<std::uint64_t> seen;
+    const jit::SpecializerConfig cfg;
+    for (const char* name : {"whetstone", "444.namd", "188.ammp"}) {
+      const apps::App app = apps::build_app(name);
+      vm::Machine machine(app.module);
+      machine.run(app.entry, app.datasets[0].args, 1ull << 30);
+      hwlib::CircuitDb db;
+      jit::ObserverList observers;
+      jit::SearchArtifact art;
+      std::vector<std::size_t> picked;
+      jit::CandidateSearchStage(cfg).run(
+          app.module, machine.profile(), db, observers, art,
+          [&](const jit::SearchArtifact&, const ise::Selection& provisional) {
+            picked.insert(picked.end(), provisional.chosen.begin(),
+                          provisional.chosen.end());
+          });
+      picked.insert(picked.end(), art.selection.chosen.begin(),
+                    art.selection.chosen.end());
+      for (std::size_t idx : picked) {
+        const auto project =
+            datapath::create_project(*art.graphs[art.graph_of[idx]],
+                                     art.scored[idx].candidate, db,
+                                     name + ("_" + std::to_string(idx)));
+        if (!seen.insert(project.signature).second) continue;
+        CandidateDesign c{fpga::synthesize_top(project.netlist),
+                          cfg.flow.placer};
+        c.placer.seed ^= project.signature;
+        all.push_back(std::move(c));
+      }
+    }
+    return all;
+  }();
+  return corpus;
+}
+
+void expect_same_placement(const fpga::Placement& got,
+                           const fpga::Placement& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.location, want.location) << what;
+  EXPECT_EQ(got.hpwl, want.hpwl) << what;
+  EXPECT_EQ(got.moves_tried, want.moves_tried) << what;
+  EXPECT_EQ(got.moves_accepted, want.moves_accepted) << what;
+}
+
+void expect_same_routing(const fpga::RoutingResult& got,
+                         const fpga::RoutingResult& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.nets.size(), want.nets.size()) << what;
+  for (std::size_t ni = 0; ni < got.nets.size(); ++ni)
+    EXPECT_EQ(got.nets[ni].edges, want.nets[ni].edges) << what << " net " << ni;
+  EXPECT_EQ(got.iterations, want.iterations) << what;
+  EXPECT_EQ(got.total_wirelength, want.total_wirelength) << what;
+  EXPECT_EQ(got.overused_edges, want.overused_edges) << what;
+  EXPECT_EQ(got.success, want.success) << what;
+}
+
+std::string label(const char* kind, std::uint16_t side, std::uint64_t seed) {
+  return std::string(kind) + " " + std::to_string(side) + "x" +
+         std::to_string(side) + " seed " + std::to_string(seed);
+}
+
+TEST(Placer, IncrementalMatchesReference) {
+  // A short schedule keeps the from-scratch reference affordable.
+  fpga::PlacerConfig quick;
+  quick.moves_per_cell_per_temp = 1;
+  quick.cooling = 0.7;
+
+  // Bus-heavy designs on the default region: most targets are empty sites.
+  const fpga::Fabric region;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto design =
+        random_design(seed, 120 + 10 * seed, 4, 100 + 15 * seed);
+    quick.seed = seed;
+    expect_same_placement(fpga::place(design, region, quick),
+                          fpga::reference::place(design, region, quick),
+                          label("region", region.width(), seed));
+  }
+  // Nearly full fabrics: most moves swap two cells, often on shared nets.
+  for (std::uint16_t side : {6, 8, 10, 12}) {
+    const fpga::Fabric fabric = small_fabric(side, 10);
+    const std::size_t dsp = fabric.capacity(fpga::SiteKind::Dsp) - 1;
+    const std::size_t cells = fabric.capacity(fpga::SiteKind::Clb) - 2 + dsp;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const auto design =
+          random_design(seed * 31 + side, cells, dsp, 100 + 15 * seed);
+      quick.seed = seed;
+      expect_same_placement(fpga::place(design, fabric, quick),
+                            fpga::reference::place(design, fabric, quick),
+                            label("dense", side, seed));
+    }
+  }
+  // Real candidates under the CAD flow's placer configuration.
+  for (const CandidateDesign& c : candidate_corpus())
+    expect_same_placement(fpga::place(c.design, region, c.placer),
+                          fpga::reference::place(c.design, region, c.placer),
+                          c.design.name);
+}
+
+TEST(Router, MatchesReference) {
+  // Capacities of 2-3 on a third-full fabric: most inputs converge after
+  // several rip-up iterations, some never do.
+  fpga::PlacerConfig quick;
+  quick.moves_per_cell_per_temp = 2;
+  quick.cooling = 0.7;
+  std::uint32_t max_iterations = 0;
+  for (std::uint16_t side : {6, 8, 10, 12}) {
+    for (std::uint16_t wires : {2, 3}) {
+      const fpga::Fabric fabric = small_fabric(side, wires);
+      const std::size_t dsp = fabric.capacity(fpga::SiteKind::Dsp) / 2;
+      const std::size_t cells = fabric.capacity(fpga::SiteKind::Clb) / 3 + dsp;
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        const auto design =
+            random_design(seed * 7 + side, cells, dsp, 100 + 15 * seed);
+        quick.seed = seed;
+        const auto placement = fpga::place(design, fabric, quick);
+        const auto want = fpga::reference::route(design, fabric, placement, {});
+        expect_same_routing(fpga::route(design, fabric, placement), want,
+                            label("routing", side, seed) + " wires " +
+                                std::to_string(wires));
+        max_iterations = std::max(max_iterations, want.iterations);
+      }
+    }
+  }
+  EXPECT_GT(max_iterations, 2u) << "no input needed rip-up and reroute";
+
+  const fpga::Fabric region;
+  for (const CandidateDesign& c : candidate_corpus()) {
+    const auto placement = fpga::place(c.design, region, c.placer);
+    expect_same_routing(fpga::route(c.design, region, placement),
+                        fpga::reference::route(c.design, region, placement, {}),
+                        c.design.name);
+  }
 }
 
 TEST(RuntimeModel, CoarseGrainedOverlayIsMuchFaster) {

@@ -305,7 +305,7 @@ TEST(Journal, KilledAppendKeepsEveryPreviouslyPersistedEntry) {
 
 // -- Satellite: randomized round-trip property ------------------------------
 
-TEST(Journal, RandomCachesRoundTripByteIdenticallyInBothFormats) {
+TEST(Journal, RandomCachesRoundTripByteIdentically) {
   TempPath first("/tmp/jitise_roundtrip_a.jrnl");
   TempPath second("/tmp/jitise_roundtrip_b.jrnl");
   support::Xoshiro256 rng(fault_seed() * 0x9E3779B97F4A7C15ull + 0xB17Eu);
