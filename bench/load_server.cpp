@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
     config.specializer.isegen.max_iterations = opt.isegen_iters;
   }
   config.cache_journal_file = opt.journal_file;
-  config.journal_fsync = opt.fsync;
+  config.specializer.journal_fsync = opt.fsync;
   PeakThreadSampler thread_sampler;
   server::SpecializationServer srv(config);
   server::ServerTraceObserver tracer(stderr);

@@ -3,8 +3,8 @@
 // BM_CandidateSearch isolates Phase 1 — per-block Search tasks chaining
 // Estimate tasks on a work-stealing executor with the serial in-order
 // reducer — and sweeps candidate volume (blocks per function) against the
-// executor width. BM_SpecializeOverlap runs the full specializer (CAD flow
-// included) on the fft app across jobs x overlap. BM_MultiSession is the
+// executor width. BM_Specialize runs the full specializer (CAD flow
+// included) on the fft app across jobs. BM_MultiSession is the
 // substrate A/B leg: S concurrent sessions specializing distinct programs
 // either on one shared WorkStealingPool of W workers (total compute threads
 // = W) or on S per-session pools of W workers each (threads = S*W, the
@@ -63,7 +63,7 @@ void BM_CandidateSearch(benchmark::State& state) {
   std::size_t candidates = 0;
   for (auto _ : state) {
     jit::SearchArtifact art;
-    search.run(prog.module, prog.profile, db, quiet, art, {},
+    search.run(prog.module, prog.profile, db, quiet, art,
                pool ? &*pool : nullptr);
     candidates = art.scored.size();
     benchmark::DoNotOptimize(art);
@@ -75,7 +75,7 @@ BENCHMARK(BM_CandidateSearch)
     ->ArgNames({"blocks", "jobs"})
     ->Unit(benchmark::kMillisecond);
 
-void BM_SpecializeOverlap(benchmark::State& state) {
+void BM_Specialize(benchmark::State& state) {
   const apps::App app = apps::build_app("fft");
   vm::Machine machine(app.module);
   machine.run(app.entry, app.datasets[0].args, 1ull << 30);
@@ -83,16 +83,15 @@ void BM_SpecializeOverlap(benchmark::State& state) {
 
   jit::SpecializerConfig config;
   config.jobs = static_cast<unsigned>(state.range(0));
-  config.overlap_phases = state.range(1) != 0;
 
   for (auto _ : state) {
     auto result = jit::specialize(app.module, profile, config);
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_SpecializeOverlap)
-    ->ArgsProduct({{1, 2, 4}, {0, 1}})
-    ->ArgNames({"jobs", "overlap"})
+BENCHMARK(BM_Specialize)
+    ->ArgsProduct({{1, 2, 4}})
+    ->ArgNames({"jobs"})
     ->Unit(benchmark::kMillisecond);
 
 /// Substrate A/B: `sessions` concurrent pipelines over distinct programs.

@@ -29,26 +29,6 @@ double density(const ScoredCandidate& sc) {
   return sc.cycles_saved_total / std::max(1.0, sc.area_slices);
 }
 
-/// Shared by select_greedy and IncrementalSelector so the incremental path
-/// is equal-by-construction: walk a density-sorted index order, take every
-/// eligible candidate that still fits the area budget and the slot cap.
-Selection greedy_sweep(std::span<const ScoredCandidate> scored,
-                       std::span<const std::size_t> order,
-                       const SelectConfig& config) {
-  Selection sel;
-  for (std::size_t i : order) {
-    if (sel.chosen.size() >= config.max_instructions) break;
-    const ScoredCandidate& sc = scored[i];
-    if (!eligible(sc, config)) continue;
-    if (sel.total_area + sc.area_slices > config.area_budget_slices) continue;
-    sel.chosen.push_back(i);
-    sel.total_saving += sc.cycles_saved_total;
-    sel.total_area += sc.area_slices;
-  }
-  std::sort(sel.chosen.begin(), sel.chosen.end());
-  return sel;
-}
-
 }  // namespace
 
 Selection select_greedy(std::span<const ScoredCandidate> scored,
@@ -61,30 +41,20 @@ Selection select_greedy(std::span<const ScoredCandidate> scored,
     if (da != db) return da > db;
     return a < b;  // deterministic tie-break
   });
-  return greedy_sweep(scored, order, config);
-}
-
-void IncrementalSelector::extend(std::span<const ScoredCandidate> scored) {
-  if (scored.size() <= absorbed_) return;
-  const auto by_density = [&](std::size_t a, std::size_t b) {
-    const double da = density(scored[a]);
-    const double db = density(scored[b]);
-    if (da != db) return da > db;
-    return a < b;
-  };
-  const std::size_t old = order_.size();
-  for (std::size_t i = absorbed_; i < scored.size(); ++i) order_.push_back(i);
-  std::sort(order_.begin() + static_cast<std::ptrdiff_t>(old), order_.end(),
-            by_density);
-  std::inplace_merge(order_.begin(),
-                     order_.begin() + static_cast<std::ptrdiff_t>(old),
-                     order_.end(), by_density);
-  absorbed_ = scored.size();
-}
-
-Selection IncrementalSelector::current(
-    std::span<const ScoredCandidate> scored) const {
-  return greedy_sweep(scored.first(absorbed_), order_, config_);
+  // Walk the density order, taking every eligible candidate that still fits
+  // the area budget and the slot cap.
+  Selection sel;
+  for (std::size_t i : order) {
+    if (sel.chosen.size() >= config.max_instructions) break;
+    const ScoredCandidate& sc = scored[i];
+    if (!eligible(sc, config)) continue;
+    if (sel.total_area + sc.area_slices > config.area_budget_slices) continue;
+    sel.chosen.push_back(i);
+    sel.total_saving += sc.cycles_saved_total;
+    sel.total_area += sc.area_slices;
+  }
+  std::sort(sel.chosen.begin(), sel.chosen.end());
+  return sel;
 }
 
 Selection select_knapsack(std::span<const ScoredCandidate> scored,

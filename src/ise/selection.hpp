@@ -53,36 +53,6 @@ struct Selection {
 [[nodiscard]] Selection select_greedy(std::span<const ScoredCandidate> scored,
                                       const SelectConfig& config = {});
 
-/// Incremental greedy selection: candidates arrive in batches (one pruned
-/// block at a time in the ASIP-SP) and a provisional selection can be read
-/// after every batch without re-sorting the whole pool. `current()` is
-/// guaranteed to equal `select_greedy` over the same prefix, so streaming
-/// consumers (the overlapped pipeline) see exactly the selections a staged
-/// run would compute.
-///
-/// Candidates are referenced by index into the caller's vector; entries
-/// already absorbed must not change (appending is fine).
-class IncrementalSelector {
- public:
-  explicit IncrementalSelector(const SelectConfig& config = {})
-      : config_(config) {}
-
-  /// Absorbs every candidate appended to `scored` since the previous call
-  /// (merge into the density order: O(new·log + n) instead of a full sort).
-  void extend(std::span<const ScoredCandidate> scored);
-
-  /// Greedy selection over everything absorbed so far.
-  [[nodiscard]] Selection current(
-      std::span<const ScoredCandidate> scored) const;
-
-  [[nodiscard]] std::size_t absorbed() const noexcept { return absorbed_; }
-
- private:
-  SelectConfig config_;
-  std::size_t absorbed_ = 0;
-  std::vector<std::size_t> order_;  // indices sorted by density (desc)
-};
-
 /// Exact 0/1 knapsack over discretized area (for ablation; O(n * budget)).
 [[nodiscard]] Selection select_knapsack(std::span<const ScoredCandidate> scored,
                                         const SelectConfig& config = {},

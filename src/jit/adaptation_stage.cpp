@@ -1,7 +1,7 @@
 // Adaptation — the order-sensitive serial tail of the ASIP-SP: cache
 // lookup/population, cycle accounting, registry insertion, and the binary
 // rewrite. Running every order-sensitive effect here, in final selection
-// order, is what makes jobs=N (and phase overlap) bit-identical to jobs=1.
+// order, is what makes jobs=N bit-identical to jobs=1.
 #include "jit/pipeline.hpp"
 
 #include <cmath>
@@ -76,9 +76,10 @@ SpecializationResult AdaptationStage::run(
       } else {
         // Pre-generated results are keyed by signature: identical datapaths
         // produce identical CAD results (jitter is signature-seeded), so
-        // one slot serves every occurrence. The serial fallback covers
-        // jobs=1-only edge cases (a dispatch-time cache entry evicted
-        // before the tail reached this position).
+        // one slot serves every occurrence. The serial fallback covers a
+        // candidate that was cache-resident at dispatch time and evicted
+        // (by another session, or a capacity bound) before the tail
+        // reached this position.
         cad::ImplementationResult hw;
         const ImplementationArtifact* pre =
             lookup ? lookup(impl.signature) : nullptr;

@@ -1,9 +1,9 @@
 // Phases 2+3 — Netlist Generation and Instruction Implementation for one
 // candidate. Both stages are pure with respect to pipeline state (the
 // circuit database and observers are internally synchronized), so the
-// pipeline may run them on any worker thread, speculatively or not: the
-// result depends only on the candidate's structure and signature-seeded
-// jitter, never on the project name or the thread that ran it.
+// pipeline may run them on any worker thread: the result depends only on
+// the candidate's structure and signature-seeded jitter, never on the
+// project name or the thread that ran it.
 #include "jit/pipeline.hpp"
 
 namespace jitise::jit {

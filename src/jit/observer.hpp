@@ -30,8 +30,8 @@ class PipelineObserver {
  public:
   virtual ~PipelineObserver() = default;
 
-  // -- Phase windows (emitted from the pipeline thread). With phase overlap
-  //    enabled, Implementation may enter before CandidateSearch exits.
+  // -- Phase windows (emitted from the pipeline thread, in sequence:
+  //    Implementation enters only after CandidateSearch exits).
   virtual void on_phase_enter(PipelinePhase /*phase*/) {}
   virtual void on_phase_exit(PipelinePhase /*phase*/, double /*real_ms*/) {}
 
@@ -43,9 +43,6 @@ class PipelineObserver {
   virtual void on_block_searched(std::size_t /*block_index*/,
                                  std::size_t /*candidates*/,
                                  double /*real_ms*/) {}
-  virtual void on_block_scored(std::size_t /*block_index*/,
-                               std::size_t /*candidates_so_far*/,
-                               std::size_t /*provisionally_selected*/) {}
 
   // -- Anytime selection refinement (pipeline thread, once per run, only
   //    when SpecializerConfig::selector == Selector::Isegen): iteration/
@@ -54,8 +51,9 @@ class PipelineObserver {
 
   // -- Per-candidate CAD events. Dispatch fires on the pipeline thread;
   //    netlist/implemented/failed fire on whichever worker runs the CAD
-  //    chain (or the pipeline thread at jobs=1). `speculative` marks work
-  //    started from a provisional selection before search finished.
+  //    chain (or the pipeline thread at jobs=1). The pipeline dispatches
+  //    only candidates of the final selection, so `speculative` is always
+  //    false; the parameter is kept for existing overrides.
   virtual void on_candidate_dispatched(std::uint64_t /*signature*/,
                                        bool /*speculative*/) {}
   virtual void on_candidate_netlist(const std::string& /*name*/,
@@ -96,10 +94,6 @@ class ObserverList final : public PipelineObserver {
   void on_block_searched(std::size_t block, std::size_t candidates,
                          double real_ms) override {
     for (auto* o : observers_) o->on_block_searched(block, candidates, real_ms);
-  }
-  void on_block_scored(std::size_t block, std::size_t found,
-                       std::size_t selected) override {
-    for (auto* o : observers_) o->on_block_scored(block, found, selected);
   }
   void on_selection_refined(const ise::IsegenStats& stats) override {
     for (auto* o : observers_) o->on_selection_refined(stats);

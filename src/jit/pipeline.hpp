@@ -19,14 +19,12 @@
 // (the server's shared WorkStealingPool, so many sessions share one bounded
 // worker set) or a pipeline-private pool for direct `specialize()` calls.
 // There is no static worker split between phases: an idle worker steals
-// whichever phase is backed up. With `SpecializerConfig::overlap_phases`,
-// Phase 1 overlaps Phases 2+3: after each pruned block is scored,
-// candidates in the provisional (incremental) selection already stream into
-// CAD tasks. Results stay bit-identical to the staged serial run because
-// CAD results are keyed by candidate signature (all jitter is
-// signature-seeded and numerically name-independent) and everything
-// order-sensitive runs in the AdaptationStage tail in final selection
-// order.
+// whichever phase is backed up. The stages run in sequence, as in the
+// paper's Fig. 2: CAD is dispatched only for the final selection, once
+// candidate search has finished. Results stay bit-identical to the serial
+// run because CAD results are keyed by candidate signature (all jitter is
+// signature-seeded) and everything order-sensitive runs in the
+// AdaptationStage tail in final selection order.
 #pragma once
 
 #include <functional>
@@ -58,12 +56,6 @@ struct SearchArtifact {
 
 class CandidateSearchStage {
  public:
-  /// Invoked on the pipeline thread after each pruned block's candidates
-  /// are scored: `partial` is the artifact so far (graphs/scored grow as
-  /// blocks complete), `provisional` the incremental selection over it.
-  using BlockScoredFn = std::function<void(const SearchArtifact& partial,
-                                           const ise::Selection& provisional)>;
-
   explicit CandidateSearchStage(const SpecializerConfig& config)
       : config_(config) {}
 
@@ -75,17 +67,16 @@ class CandidateSearchStage {
   /// as a `Phase::Search` task (DFG construction, MAXMISO / UnionMISO
   /// identification) chaining a `Phase::Estimate` task (estimation +
   /// scoring); a serial reducer on the calling thread absorbs block results
-  /// strictly in block order, so the artifact, every observer event
-  /// asserted by tests, and the `on_block` stream are bit-identical to the
-  /// `executor == nullptr` serial loop.
+  /// strictly in block order, so the artifact and every observer event
+  /// asserted by tests are bit-identical to the `executor == nullptr`
+  /// serial loop.
   ///
   /// `estimates` (optional) memoizes whole-candidate estimation by
   /// signature; estimates are pure functions of candidate structure, so the
   /// artifact is bit-identical with or without it.
   void run(const ir::Module& module, const vm::Profile& profile,
            hwlib::CircuitDb& db, PipelineObserver& observer,
-           SearchArtifact& out, const BlockScoredFn& on_block = {},
-           support::Executor* executor = nullptr,
+           SearchArtifact& out, support::Executor* executor = nullptr,
            estimation::EstimateCache* estimates = nullptr) const;
 
  private:

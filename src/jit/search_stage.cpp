@@ -1,9 +1,8 @@
 // Phase 1 — Candidate Search: prune -> identify -> estimate -> select.
 //
-// Candidates are scored block by block and absorbed into an incremental
-// selector, so streaming consumers (the overlapped pipeline) can read a
-// provisional selection after every block; the final selection is identical
-// to a one-shot select_greedy over the full candidate pool.
+// Candidates are scored block by block; selection runs once, over the full
+// candidate pool, after the last block is absorbed. The pipeline dispatches
+// CAD only for that final selection.
 //
 // Concurrency model: every pruned block is an independent unit of work (its
 // own DFG, its own candidates, its own estimates). With an executor, each
@@ -13,10 +12,10 @@
 // steal whichever phase is backed up. Tasks produce self-contained
 // BlockSearchResults; a serial reducer on the pipeline thread absorbs them
 // strictly in block order (out-of-order completions wait in their
-// OrderedReducer slot), so selector state, observer events and the on_block
-// stream are bit-identical to the serial loop. Shared state touched by
-// workers is limited to the CircuitDb memo caches, which are internally
-// synchronized and value-deterministic regardless of insertion order.
+// OrderedReducer slot), so the artifact and observer events are
+// bit-identical to the serial loop. Shared state touched by workers is
+// limited to the CircuitDb memo caches, which are internally synchronized
+// and value-deterministic regardless of insertion order.
 #include "jit/pipeline.hpp"
 
 #include <algorithm>
@@ -57,7 +56,6 @@ struct BlockSearchResult {
 void CandidateSearchStage::run(const ir::Module& module,
                                const vm::Profile& profile, hwlib::CircuitDb& db,
                                PipelineObserver& observer, SearchArtifact& out,
-                               const BlockScoredFn& on_block,
                                support::Executor* executor,
                                estimation::EstimateCache* estimates) const {
   config_.cancel.check();
@@ -66,7 +64,6 @@ void CandidateSearchStage::run(const ir::Module& module,
 
   SearchArtifact& art = out;
   art.prune = ise::prune_blocks(module, profile, config_.cpu, config_.prune);
-  ise::IncrementalSelector selector(config_.select);
 
   // Identification half of a block: DFG construction plus candidate
   // discovery. Deterministic per block and independent across blocks, so it
@@ -133,11 +130,6 @@ void CandidateSearchStage::run(const ir::Module& module,
       art.graph_of.push_back(graph_index);
     }
     art.graphs.push_back(std::move(res.graph));
-
-    selector.extend(art.scored);
-    const ise::Selection provisional = selector.current(art.scored);
-    observer.on_block_scored(b, art.scored.size(), provisional.chosen.size());
-    if (on_block) on_block(art, provisional);
   };
 
   const std::size_t nblocks = art.prune.blocks.size();
@@ -191,16 +183,9 @@ void CandidateSearchStage::run(const ir::Module& module,
     group.wait();
   }
 
-  selector.extend(art.scored);  // no-op unless the loop never ran
-  art.selection = selector.current(art.scored);
-
-  // Final-selection override: provisional streaming above always uses the
-  // incremental greedy (cheap, prefix-stable); the configured selector only
-  // decides the *final* selection the adaptation tail consumes. Speculative
-  // CAD dispatches for candidates that drop out are discarded by the
-  // dispatch sweep, so no other stage needs to know which selector ran.
   switch (config_.selector) {
     case SpecializerConfig::Selector::Greedy:
+      art.selection = ise::select_greedy(art.scored, config_.select);
       break;
     case SpecializerConfig::Selector::Knapsack:
       art.selection = ise::select_knapsack(art.scored, config_.select);

@@ -58,16 +58,6 @@ struct SpecializerConfig {
   /// registry insertion, `implemented` order, cache population) stays in a
   /// serial tail.
   unsigned jobs = 0;
-  /// Overlap Phase 1 with Phases 2+3 (parallel runs only): as candidate
-  /// search finishes scoring a block, candidates in the provisional
-  /// incremental selection already stream into CAD tasks instead of waiting
-  /// for the full selection barrier. Output stays bit-identical to the
-  /// staged run — CAD results are signature-keyed and the serial tail
-  /// consumes them in final selection order; speculative work for
-  /// candidates that drop out of the final selection is simply discarded.
-  /// With work-stealing this flag no longer moves workers between phases; it
-  /// only controls the speculative streaming.
-  bool overlap_phases = true;
   /// Emit a one-line per-candidate CAD timing trace to stderr (real ms per
   /// stage plus the worker thread id) so the parallel speedup is observable.
   /// Installed as the default TraceObserver on the pipeline; the sink is

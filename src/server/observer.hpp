@@ -20,7 +20,6 @@
 
 #include "adaptive/policy.hpp"
 #include "server/request.hpp"
-#include "support/executor.hpp"
 
 namespace jitise::server {
 
@@ -51,11 +50,6 @@ class ServerObserver {
   /// pipeline.
   virtual void on_started(std::uint64_t /*id*/,
                           const std::string& /*tenant*/) {}
-  /// A shared-pool worker executed a task stolen from another worker's
-  /// deque. Fires from pool worker threads — potentially very often and
-  /// concurrently, so implementations must be internally synchronized and
-  /// cheap (count, don't print).
-  virtual void on_steal(support::Phase /*phase*/) {}
   /// The drift loop confirmed a phase change on `stream` (tenant/module).
   /// Fires from the thread calling observe_window().
   virtual void on_phase_change(const std::string& /*stream*/,
@@ -102,9 +96,6 @@ class ServerObserverList final : public ServerObserver {
   }
   void on_started(std::uint64_t id, const std::string& tenant) override {
     for (auto* o : observers_) o->on_started(id, tenant);
-  }
-  void on_steal(support::Phase phase) override {
-    for (auto* o : observers_) o->on_steal(phase);
   }
   void on_phase_change(const std::string& stream,
                        const adaptive::PhaseChange& change) override {

@@ -73,7 +73,7 @@ enum class RequestState : std::uint8_t {
 struct RequestProgress {
   std::size_t blocks_searched = 0;
   std::size_t candidates_found = 0;
-  std::size_t dispatched = 0;     // CAD chains started (incl. speculative)
+  std::size_t dispatched = 0;     // CAD chains started
   std::size_t implemented = 0;    // CAD chains that produced a bitstream
   std::size_t cad_failures = 0;   // candidates the tool flow rejected
   bool search_complete = false;   // the search phase ran to the end

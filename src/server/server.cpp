@@ -44,9 +44,10 @@ class SpecializationServer::SessionPipelineObserver final
     if (phase != jit::PipelinePhase::CandidateSearch) return;
     search_complete_.store(true, std::memory_order_relaxed);
   }
-  void on_block_scored(std::size_t, std::size_t found, std::size_t) override {
+  void on_block_searched(std::size_t, std::size_t candidates,
+                         double) override {
     blocks_.fetch_add(1, std::memory_order_relaxed);
-    found_.store(found, std::memory_order_relaxed);
+    found_.fetch_add(candidates, std::memory_order_relaxed);
   }
   void on_candidate_dispatched(std::uint64_t, bool) override {
     dispatched_.fetch_add(1, std::memory_order_relaxed);
@@ -100,13 +101,12 @@ SpecializationServer::SpecializationServer(ServerConfig config)
       cache_(config_.cache_capacity_bytes),
       pool_(config_.workers),
       started_at_(Clock::now()) {
-  pool_.set_observer(this);
   if (config_.adaptive) {
     policy_.emplace(config_.respec, config_.specializer, &estimates_);
   }
   if (!config_.cache_journal_file.empty()) {
     journal_.emplace(config_.cache_journal_file);
-    journal_->set_fsync(config_.journal_fsync);
+    journal_->set_fsync(config_.specializer.journal_fsync);
     journal_->attach(cache_);
   }
   // One coordinator thread per session slot. Coordinators submit tasks and
@@ -134,11 +134,6 @@ SpecializationServer::~SpecializationServer() {
   // Detach the sink before members destruct so the cache never touches a
   // dead journal (members die in reverse order: journal_ before cache_).
   cache_.set_journal(nullptr);
-}
-
-void SpecializationServer::on_task_executed(support::Phase phase,
-                                            bool stolen) {
-  if (stolen) observers_.on_steal(phase);
 }
 
 Ticket SpecializationServer::submit(SpecializationRequest request) {
@@ -439,7 +434,6 @@ void SpecializationServer::run_session(Session& session) {
 
   jit::SpecializerConfig cfg = config_.specializer;
   cfg.cancel = token;
-  cfg.journal_fsync = cfg.journal_fsync || config_.journal_fsync;
 
   // Anytime selection: turn what is left of the request's deadline after its
   // queue wait into the ISEGEN wall-clock budget. Only a fraction

@@ -87,21 +87,18 @@ struct ServerConfig {
   /// Bound on admitted-but-not-started requests; a submit beyond it is
   /// rejected with reason (backpressure, never silent queueing).
   std::size_t queue_capacity = 64;
-  /// Per-session pipeline configuration (jobs, overlap, flow, ...). The
-  /// server overrides its `cancel` token per request and its
-  /// `journal_fsync` from the server-level flag. Sessions run on the shared
-  /// pool (whose `workers` width decides the real parallelism) unless
-  /// `specializer.jobs = 1`, which runs them strictly serially on their
-  /// coordinator thread.
+  /// Per-session pipeline configuration (jobs, selector, flow, ...). The
+  /// server overrides its `cancel` token per request. Its `journal_fsync`
+  /// also puts the shared journal (`cache_journal_file`) in power-loss
+  /// durability mode. Sessions run on the shared pool (whose `workers`
+  /// width decides the real parallelism) unless `specializer.jobs = 1`,
+  /// which runs them strictly serially on their coordinator thread.
   jit::SpecializerConfig specializer;
   /// Shared bitstream cache capacity in bytes (0 = unbounded).
   std::size_t cache_capacity_bytes = 0;
   /// When non-empty, the shared cache persists through a CacheJournal at
   /// this path (replayed on startup, synced on drain and per session).
   std::string cache_journal_file;
-  /// Power-loss durability for the journal (satellite of
-  /// SpecializerConfig::journal_fsync).
-  bool journal_fsync = false;
   /// Request coalescing: a submission whose (module, profile) signature
   /// (jit::request_signature) matches a run already queued or executing
   /// registers as a *follower* on that run's in-flight entry and resolves
@@ -213,7 +210,7 @@ struct WindowObservation {
   std::optional<Ticket> ticket;
 };
 
-class SpecializationServer : private support::ExecutorObserver {
+class SpecializationServer {
  public:
   explicit SpecializationServer(ServerConfig config);
   /// Drains (best effort — exceptions swallowed) and joins all workers.
@@ -308,9 +305,6 @@ class SpecializationServer : private support::ExecutorObserver {
                RequestState state, std::string reason,
                std::optional<jit::SpecializationResult> result,
                const RequestProgress& progress);
-  /// ExecutorObserver tap on the shared pool: forwards stolen-task events
-  /// to the server observers (fires from pool worker threads).
-  void on_task_executed(support::Phase phase, bool stolen) override;
 
   ServerConfig config_;
   jit::BitstreamCache cache_;

@@ -121,17 +121,6 @@ class TaskGroup {
   std::size_t finished_ = 0;
 };
 
-/// Steal/occupancy event tap (WorkStealingPool). Fires from pool worker
-/// threads, concurrently — implementations must be internally synchronized
-/// and cheap (a counter), and must not submit work or block.
-class ExecutorObserver {
- public:
-  virtual ~ExecutorObserver() = default;
-  /// A worker finished executing a task. `stolen` marks a task taken from
-  /// another worker's deque (FIFO steal) rather than the worker's own.
-  virtual void on_task_executed(Phase /*phase*/, bool /*stolen*/) {}
-};
-
 /// Abstract phase-tagged task submitter. `submit` never blocks on the
 /// task's execution and never runs the task inline on the calling thread;
 /// completion is observed through the TaskGroup. Tasks must not call

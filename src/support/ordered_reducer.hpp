@@ -2,8 +2,7 @@
 // in any order on any thread, the single consumer absorbs results strictly
 // by index. This is the mechanism that lets the specializer's candidate
 // search run per-block tasks on the pool while keeping every order-sensitive
-// effect (incremental selection, observer events, streaming dispatch)
-// bit-identical to a serial loop.
+// effect (artifact order, observer events) bit-identical to a serial loop.
 //
 // Protocol: exactly one `put(i, ...)` per index from any thread, exactly one
 // `take(i)` per index from the consumer. `take` blocks until the slot is

@@ -129,7 +129,6 @@ void WorkStealingPool::worker_loop(unsigned index) {
     tasks_per_phase_[static_cast<std::size_t>(task.phase)].fetch_add(
         1, std::memory_order_relaxed);
     if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
-    if (observer_ != nullptr) observer_->on_task_executed(task.phase, stolen);
     busy_.fetch_sub(1, std::memory_order_relaxed);
     task.group->finish_task(task.id, std::move(error));
   }

@@ -60,12 +60,6 @@ class WorkStealingPool final : public Executor {
     return static_cast<unsigned>(queues_.size());
   }
 
-  /// Steal/occupancy tap (not owned; must outlive the pool). Set before the
-  /// first submit — the pointer is not synchronized.
-  void set_observer(ExecutorObserver* observer) noexcept {
-    observer_ = observer;
-  }
-
   /// Monotonic counters snapshot; safe to call concurrently with execution.
   [[nodiscard]] ExecutorStats stats() const;
 
@@ -104,7 +98,6 @@ class WorkStealingPool final : public Executor {
   std::atomic<std::uint64_t> tasks_per_phase_[kPhaseCount] = {};
   std::atomic<unsigned> busy_{0};
   std::atomic<unsigned> occupancy_high_water_{0};
-  ExecutorObserver* observer_ = nullptr;
 };
 
 }  // namespace jitise::support

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 
 #include "apps/app.hpp"
 #include "cad/flow.hpp"
@@ -375,10 +377,15 @@ struct CandidateDesign {
   fpga::PlacerConfig placer;  // the CAD flow's, seeded per candidate
 };
 
-/// The distinct candidates the pipeline implements for three apps with large
-/// designs (up to 885 cells and a 387-sink head bus): every final and every
-/// provisional (speculatively implemented) selection, built the way the
-/// pipeline builds them. Built once per test binary.
+/// Size of candidate_corpus(); pinned so a change in what it gathers shows.
+constexpr std::size_t kCandidateCorpusSize = 24;
+
+/// Distinct candidates of three apps with large designs (up to 885 cells and
+/// a 387-sink head bus), built the way the pipeline builds them: each
+/// block's provisional selection — greedy over the candidates of that block
+/// and every block before it — and the final selection. The provisional
+/// picks include two designs the final selections drop: a 694-cell 188.ammp
+/// candidate and a 115-cell 444.namd one. Built once per test binary.
 const std::vector<CandidateDesign>& candidate_corpus() {
   static const std::vector<CandidateDesign> corpus = [] {
     std::vector<CandidateDesign> all;
@@ -389,15 +396,23 @@ const std::vector<CandidateDesign>& candidate_corpus() {
       vm::Machine machine(app.module);
       machine.run(app.entry, app.datasets[0].args, 1ull << 30);
       hwlib::CircuitDb db;
-      jit::ObserverList observers;
+      jit::PipelineObserver quiet;
       jit::SearchArtifact art;
+      jit::CandidateSearchStage(cfg).run(app.module, machine.profile(), db,
+                                         quiet, art);
       std::vector<std::size_t> picked;
-      jit::CandidateSearchStage(cfg).run(
-          app.module, machine.profile(), db, observers, art,
-          [&](const jit::SearchArtifact&, const ise::Selection& provisional) {
-            picked.insert(picked.end(), provisional.chosen.begin(),
-                          provisional.chosen.end());
-          });
+      for (std::size_t g = 0; g < art.graphs.size(); ++g) {
+        // art.graph_of is non-decreasing: the prefix ending at block g.
+        const auto end = std::upper_bound(art.graph_of.begin(),
+                                          art.graph_of.end(), g);
+        const auto prefix = std::span<const ise::ScoredCandidate>(art.scored)
+                                .first(static_cast<std::size_t>(
+                                    end - art.graph_of.begin()));
+        const ise::Selection provisional =
+            ise::select_greedy(prefix, cfg.select);
+        picked.insert(picked.end(), provisional.chosen.begin(),
+                      provisional.chosen.end());
+      }
       picked.insert(picked.end(), art.selection.chosen.begin(),
                     art.selection.chosen.end());
       for (std::size_t idx : picked) {
@@ -474,6 +489,7 @@ TEST(Placer, IncrementalMatchesReference) {
     }
   }
   // Real candidates under the CAD flow's placer configuration.
+  ASSERT_EQ(candidate_corpus().size(), kCandidateCorpusSize);
   for (const CandidateDesign& c : candidate_corpus())
     expect_same_placement(fpga::place(c.design, region, c.placer),
                           fpga::reference::place(c.design, region, c.placer),
@@ -508,6 +524,7 @@ TEST(Router, MatchesReference) {
   EXPECT_GT(max_iterations, 2u) << "no input needed rip-up and reroute";
 
   const fpga::Fabric region;
+  ASSERT_EQ(candidate_corpus().size(), kCandidateCorpusSize);
   for (const CandidateDesign& c : candidate_corpus()) {
     const auto placement = fpga::place(c.design, region, c.placer);
     expect_same_routing(fpga::route(c.design, region, placement),

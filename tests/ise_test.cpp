@@ -519,46 +519,6 @@ TEST(Selection, DropsMultiOutputCandidates) {
   EXPECT_EQ(sel.chosen, (std::vector<std::size_t>{1}));
 }
 
-TEST(Selection, IncrementalMatchesOneShotOnEveryPrefix) {
-  // The streaming pipeline's guarantee: after absorbing any prefix, the
-  // incremental selector's provisional selection equals a one-shot
-  // select_greedy over the same prefix — chosen indices, saving, and area.
-  std::uint64_t state = 0xC0FFEE1234567ull;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int trial = 0; trial < 50; ++trial) {
-    ise::SelectConfig cfg;
-    cfg.area_budget_slices = static_cast<double>(20 + next() % 80);
-    cfg.max_instructions = 1 + next() % 6;
-    ise::IncrementalSelector selector(cfg);
-    std::vector<ise::ScoredCandidate> cands;
-
-    const std::size_t batches = 1 + next() % 6;
-    for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t batch = next() % 5;  // empty batches allowed
-      for (std::size_t i = 0; i < batch; ++i) {
-        auto sc = scored(static_cast<double>(next() % 200) / 2.0,
-                         static_cast<double>(1 + next() % 30));
-        if (next() % 7 == 0) sc.candidate.outputs.push_back(1);  // multi-out
-        cands.push_back(sc);
-      }
-      selector.extend(cands);
-      ASSERT_EQ(selector.absorbed(), cands.size());
-
-      const auto incremental = selector.current(cands);
-      const auto oneshot = ise::select_greedy(cands, cfg);
-      EXPECT_EQ(incremental.chosen, oneshot.chosen)
-          << "trial " << trial << " batch " << b;
-      EXPECT_DOUBLE_EQ(incremental.total_saving, oneshot.total_saving);
-      EXPECT_DOUBLE_EQ(incremental.total_area, oneshot.total_area);
-    }
-  }
-}
-
 TEST(Selection, DegenerateSavingsNeverSelected) {
   // Zero, negative, and NaN savings must be ineligible for every selector
   // even under min_saving = 0 — an unguarded density() would order a NaN
