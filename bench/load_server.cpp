@@ -71,7 +71,7 @@ void usage(const char* prog) {
       "  --tenants N     concurrent tenants (default 4)\n"
       "  --requests N    requests per tenant (default 6)\n"
       "  --workers N     compute threads in the shared work-stealing pool\n"
-      "                  (default 2); bounds total compute threads\n"
+      "                  (default 2); bounds the CAD threads\n"
       "  --sessions N    concurrent sessions (default: same as --workers)\n"
       "  --queue-cap N   admission queue capacity (default 16)\n"
       "  --arrival-us N  mean per-tenant inter-submit gap (default 200)\n"

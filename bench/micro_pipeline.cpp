@@ -1,14 +1,12 @@
 // Micro-benchmark: pipeline-parallelism wins (ablation for DESIGN.md).
 //
-// BM_CandidateSearch isolates Phase 1 — per-block Search tasks chaining
-// Estimate tasks on a work-stealing executor with the serial in-order
-// reducer — and sweeps candidate volume (blocks per function) against the
-// executor width. BM_Specialize runs the full specializer (CAD flow
-// included) on the fft app across jobs. BM_MultiSession is the
-// substrate A/B leg: S concurrent sessions specializing distinct programs
-// either on one shared WorkStealingPool of W workers (total compute threads
-// = W) or on S per-session pools of W workers each (threads = S*W, the
-// pre-work-stealing architecture).
+// BM_CandidateSearch isolates Phase 1 — the serial prune -> identify ->
+// estimate -> select loop — and sweeps candidate volume (blocks per
+// function). BM_Specialize runs the full specializer (CAD flow included) on
+// the fft app across jobs. BM_MultiSession is the substrate A/B leg: S
+// concurrent sessions specializing distinct programs either on one shared
+// WorkStealingPool of W workers (pool threads = W) or on S per-session pools
+// of W workers each (threads = S*W, the pre-work-stealing architecture).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -49,7 +47,6 @@ ProfiledProgram make_program(std::uint32_t blocks, std::uint32_t salt = 0) {
 
 void BM_CandidateSearch(benchmark::State& state) {
   const auto prog = make_program(static_cast<std::uint32_t>(state.range(0)));
-  const auto workers = static_cast<unsigned>(state.range(1));
 
   jit::SpecializerConfig config;
   config.prune = ise::PruneConfig::none();
@@ -57,22 +54,19 @@ void BM_CandidateSearch(benchmark::State& state) {
   const jit::CandidateSearchStage search(config);
   jit::PipelineObserver quiet;  // no-op sink
   hwlib::CircuitDb db;  // shared and warm across iterations, as in the JIT
-  std::optional<support::WorkStealingPool> pool;
-  if (workers > 1) pool.emplace(workers);
 
   std::size_t candidates = 0;
   for (auto _ : state) {
-    jit::SearchArtifact art;
-    search.run(prog.module, prog.profile, db, quiet, art,
-               pool ? &*pool : nullptr);
+    const jit::SearchArtifact art =
+        search.run(prog.module, prog.profile, db, quiet);
     candidates = art.scored.size();
     benchmark::DoNotOptimize(art);
   }
   state.counters["candidates"] = static_cast<double>(candidates);
 }
 BENCHMARK(BM_CandidateSearch)
-    ->ArgsProduct({{4, 8, 16}, {1, 2, 4}})
-    ->ArgNames({"blocks", "jobs"})
+    ->ArgsProduct({{4, 8, 16}})
+    ->ArgNames({"blocks"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Specialize(benchmark::State& state) {

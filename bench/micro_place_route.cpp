@@ -81,9 +81,8 @@ Candidate largest_selected_candidate(const char* app_name) {
   const jit::SpecializerConfig cfg;
   hwlib::CircuitDb db;
   jit::ObserverList observers;
-  jit::SearchArtifact art;
-  jit::CandidateSearchStage(cfg).run(app.module, machine.profile(), db,
-                                     observers, art);
+  const jit::SearchArtifact art = jit::CandidateSearchStage(cfg).run(
+      app.module, machine.profile(), db, observers);
   Candidate best;
   for (std::size_t idx : art.selection.chosen) {
     const auto project = datapath::create_project(

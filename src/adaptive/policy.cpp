@@ -3,9 +3,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "dfg/graph.hpp"
-#include "ise/identify.hpp"
 #include "jit/breakeven.hpp"
+#include "jit/pipeline.hpp"
 #include "support/table.hpp"
 
 namespace jitise::adaptive {
@@ -24,52 +23,31 @@ WindowBenefit evaluate_window_benefit(
     std::span<const std::uint64_t> installed,
     const jit::SpecializerConfig& config, hwlib::CircuitDb& db,
     estimation::EstimateCache* estimates) {
+  // The pipeline's own search stage, priced with the greedy selector
+  // whatever selector the server runs: the fresh side of the comparison is
+  // the paper's heuristic, and it stays deterministic and cheap.
+  jit::SpecializerConfig greedy = config;
+  greedy.selector = jit::SpecializerConfig::Selector::Greedy;
+  jit::PipelineObserver quiet;
+  const jit::SearchArtifact art =
+      jit::CandidateSearchStage(greedy).run(module, window, db, quiet,
+                                            estimates);
+
   WindowBenefit out;
   const std::unordered_set<std::uint64_t> have(installed.begin(),
                                               installed.end());
-
-  // The serial search front of the pipeline (jit/search_stage without the
-  // executor fan-out): pricing a window is latency-insensitive and the
-  // EstimateCache absorbs the repeat cost across windows of one phase.
-  const ise::PruneResult prune =
-      ise::prune_blocks(module, window, config.cpu, config.prune);
-  std::vector<ise::ScoredCandidate> scored;
-  for (const ise::PrunedBlock& blk : prune.blocks) {
-    const dfg::BlockDfg graph(module.functions[blk.function], blk.block);
-    std::vector<ise::Candidate> candidates =
-        config.identify == jit::SpecializerConfig::Identify::UnionMiso
-            ? ise::find_union_misos(graph)
-            : ise::find_max_misos(graph);
-    for (ise::Candidate& cand : candidates) {
-      cand.function = blk.function;
-      const std::uint64_t signature = ise::candidate_signature(graph, cand);
-      const estimation::CandidateEstimate est =
-          estimation::estimate_candidate_cached(graph, cand, db, config.cpu,
-                                                config.fcm, signature,
-                                                estimates);
-      ise::ScoredCandidate sc;
-      sc.candidate = std::move(cand);
-      sc.signature = signature;
-      sc.cycles_saved_total =
-          est.saved_per_exec * static_cast<double>(blk.exec_count);
-      sc.cycles_saved_refined =
-          est.saved_per_exec_refined * static_cast<double>(blk.exec_count);
-      sc.area_slices = est.area_slices;
-      if (have.count(signature) != 0 &&
-          ise::selection_eligible(sc, config.select)) {
-        out.installed_saving += sc.cycles_saved_total;
-        ++out.matched;
-      }
-      scored.push_back(std::move(sc));
+  for (const ise::ScoredCandidate& sc : art.scored) {
+    if (have.count(sc.signature) != 0 &&
+        ise::selection_eligible(sc, config.select)) {
+      out.installed_saving += sc.cycles_saved_total;
+      ++out.matched;
     }
   }
-  out.pool = scored.size();
-
-  const ise::Selection fresh = ise::select_greedy(scored, config.select);
-  out.fresh_saving = fresh.total_saving;
-  out.fresh_signatures.reserve(fresh.chosen.size());
-  for (const std::size_t idx : fresh.chosen)
-    out.fresh_signatures.push_back(scored[idx].signature);
+  out.pool = art.scored.size();
+  out.fresh_saving = art.selection.total_saving;
+  out.fresh_signatures.reserve(art.selection.chosen.size());
+  for (const std::size_t idx : art.selection.chosen)
+    out.fresh_signatures.push_back(art.scored[idx].signature);
   return out;
 }
 

@@ -50,10 +50,11 @@ struct WindowBenefit {
   }
 };
 
-/// Prices `installed` candidate signatures under `window`: the serial
-/// search-front of the pipeline (prune -> identify -> estimate -> greedy),
-/// reusing the shared EstimateCache so repeated pricing of recurring phases
-/// is nearly free. Deterministic; never runs CAD.
+/// Prices `installed` candidate signatures under `window`: runs the
+/// pipeline's jit::CandidateSearchStage (prune -> identify -> estimate) with
+/// the greedy selector, whatever `config.selector` says, reusing the shared
+/// EstimateCache so repeated pricing of recurring phases is nearly free.
+/// Deterministic; never runs CAD.
 [[nodiscard]] WindowBenefit evaluate_window_benefit(
     const ir::Module& module, const vm::Profile& window,
     std::span<const std::uint64_t> installed,

@@ -55,14 +55,15 @@ struct ComponentNetlist {
 /// pre-synthesized cores — repeated extraction is a cache hit and skips
 /// "synthesis" of the component.
 ///
-/// Thread-safe: record()/netlist() may be called concurrently (the parallel
-/// specializer shares one database across search and CAD worker tasks). The
-/// hot path — a lookup that hits — takes only a shared (reader) lock, so the
-/// parallel candidate search's estimation traffic does not serialize on the
-/// database once it is warm; a miss upgrades to an exclusive lock and
-/// re-checks before inserting. The node-based maps guarantee returned
-/// references stay valid after the lock is released, and hit/miss counters
-/// are atomics so reader-path accounting stays contention-free.
+/// Thread-safe: record()/netlist() may be called concurrently (a pipeline
+/// run shares one database between its serial search and its CAD worker
+/// tasks, which generate netlists side by side). The hot path — a lookup
+/// that hits — takes only a shared (reader) lock, so concurrent readers do
+/// not serialize on the database once it is warm; a miss upgrades to an
+/// exclusive lock and re-checks before inserting. The node-based maps
+/// guarantee returned references stay valid after the lock is released, and
+/// hit/miss counters are atomics so reader-path accounting stays
+/// contention-free.
 class CircuitDb {
  public:
   /// Metric record for an operation at a type. Computed deterministically

@@ -35,11 +35,10 @@ class PipelineObserver {
   virtual void on_phase_enter(PipelinePhase /*phase*/) {}
   virtual void on_phase_exit(PipelinePhase /*phase*/, double /*real_ms*/) {}
 
-  // -- Candidate search progress (pipeline thread, pruned-block order —
-  //    the parallel search's serial reducer releases blocks in sequence, so
-  //    these stay deterministic at any worker count).
-  //    `on_block_searched` reports one block's DFG + identify + estimate
-  //    wall time as measured on whichever worker searched it.
+  // -- Candidate search progress (pipeline thread, pruned-block order: the
+  //    search is one serial loop, so these are deterministic at any worker
+  //    count). `on_block_searched` reports one block's DFG + identify +
+  //    estimate wall time.
   virtual void on_block_searched(std::size_t /*block_index*/,
                                  std::size_t /*candidates*/,
                                  double /*real_ms*/) {}

@@ -1,17 +1,17 @@
 // SpecializationPipeline — composes the four ASIP-SP stages and submits the
 // per-candidate CAD fan-out as `Phase::Cad` tasks on the executor.
 //
-// Concurrency model: the stages run in sequence. Once candidate search has
-// produced the final selection, the pipeline thread dispatches one CAD task
-// per selected signature that is not already cache-resident; each task
-// writes its result into a pre-created slot with a stable address. Dispatch
-// (slot creation, dedup, cache probing) happens only on the pipeline
-// thread; workers write only into their own slot.
+// Concurrency model: the stages run in sequence. Candidate search runs
+// serially on the pipeline thread. Once it has produced the final
+// selection, the pipeline thread dispatches one CAD task per selected
+// signature that is not already cache-resident; each task writes its result
+// into a pre-created slot with a stable address. Dispatch (slot creation,
+// dedup, cache probing) happens only on the pipeline thread; workers write
+// only into their own slot.
 //
-// There is no per-phase worker budget: search, estimation and CAD tasks
-// share one executor and idle workers steal across phases. The executor is
-// borrowed when the caller owns a long-lived one (the server's shared pool);
-// a direct call with a parallel config gets a run-scoped private pool.
+// The executor is borrowed when the caller owns a long-lived one (the
+// server's shared pool); a direct call with a parallel config gets a
+// private pool for the CAD sweep.
 #include "jit/pipeline.hpp"
 
 #include <deque>
@@ -54,8 +54,8 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   // guarantee when the executor is borrowed and lives on); a private pool is
   // declared last, so its draining destructor runs while everything tasks
   // touch is still alive.
-  SearchArtifact art;
-  std::vector<std::string> names;
+  SearchArtifact art = search_.run(module, profile, db, obs, estimates_);
+  std::vector<std::string> names(art.selection.chosen.size());
   // Deque: stable element addresses while the pipeline thread appends;
   // workers only ever touch their own pre-created slot.
   std::deque<ImplementationArtifact> slots;
@@ -63,16 +63,6 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   support::TaskGroup cad_group;
   std::optional<support::WorkStealingPool> owned;
 
-  support::Executor* exec = executor_;
-  if (exec == nullptr && parallel) {
-    owned.emplace(jobs);
-    exec = &*owned;
-  }
-
-  search_.run(module, profile, db, obs, art, parallel ? exec : nullptr,
-              estimates_);
-
-  names.resize(art.selection.chosen.size());
   for (std::size_t k = 0; k < names.size(); ++k)
     names[k] = candidate_name(
         module, art.scored[art.selection.chosen[k]].candidate, k);
@@ -93,6 +83,11 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
     config_.cancel.check();
     obs.on_phase_enter(PipelinePhase::Implementation);
     const support::Stopwatch impl_timer;
+    support::Executor* exec = executor_;
+    if (exec == nullptr && parallel) {
+      owned.emplace(jobs);
+      exec = &*owned;
+    }
     // One CAD run per selected signature that is neither cache-resident nor
     // already dispatched by this sweep; inline with a serial config (jobs=1).
     for (std::size_t k = 0; k < names.size(); ++k) {

@@ -13,18 +13,17 @@
 //   AdaptationStage       cache/registry/accounting serial tail + rewrite
 //                         -> SpecializationResult
 //
-// SpecializationPipeline composes them and submits all parallel work as
-// phase-tagged tasks (`Phase::Search` / `Phase::Estimate` / `Phase::Cad`)
-// through one support::Executor — either a borrowed, long-lived executor
-// (the server's shared WorkStealingPool, so many sessions share one bounded
-// worker set) or a pipeline-private pool for direct `specialize()` calls.
-// There is no static worker split between phases: an idle worker steals
-// whichever phase is backed up. The stages run in sequence, as in the
-// paper's Fig. 2: CAD is dispatched only for the final selection, once
-// candidate search has finished. Results stay bit-identical to the serial
-// run because CAD results are keyed by candidate signature (all jitter is
-// signature-seeded) and everything order-sensitive runs in the
-// AdaptationStage tail in final selection order.
+// SpecializationPipeline composes them in sequence, as in the paper's
+// Fig. 2. Candidate search runs serially on the calling thread; CAD is
+// dispatched only for the final selection, and its per-candidate chains are
+// the pipeline's one fan-out: `Phase::Cad` tasks on one support::Executor —
+// either a borrowed, long-lived executor (the server's shared
+// WorkStealingPool, so many sessions share one bounded worker set) or a
+// pipeline-private pool for direct `specialize()` calls. Results stay
+// bit-identical to the serial run because CAD results are keyed by
+// candidate signature (all jitter is signature-seeded) and everything
+// order-sensitive runs in the AdaptationStage tail in final selection
+// order.
 #pragma once
 
 #include <functional>
@@ -59,25 +58,16 @@ class CandidateSearchStage {
   explicit CandidateSearchStage(const SpecializerConfig& config)
       : config_(config) {}
 
-  /// Fills `out` in place (rather than returning it) so the caller can give
-  /// the artifact a lifetime enclosing any executor tasks referencing its
-  /// graphs — even on exception unwind.
-  ///
-  /// With an `executor` (of more than one worker), each pruned block runs
-  /// as a `Phase::Search` task (DFG construction, MAXMISO / UnionMISO
-  /// identification) chaining a `Phase::Estimate` task (estimation +
-  /// scoring); a serial reducer on the calling thread absorbs block results
-  /// strictly in block order, so the artifact and every observer event
-  /// asserted by tests are bit-identical to the `executor == nullptr`
-  /// serial loop.
+  /// Prunes, then searches the pruned blocks one after another on the
+  /// calling thread, then selects once over the full candidate pool.
   ///
   /// `estimates` (optional) memoizes whole-candidate estimation by
   /// signature; estimates are pure functions of candidate structure, so the
   /// artifact is bit-identical with or without it.
-  void run(const ir::Module& module, const vm::Profile& profile,
-           hwlib::CircuitDb& db, PipelineObserver& observer,
-           SearchArtifact& out, support::Executor* executor = nullptr,
-           estimation::EstimateCache* estimates = nullptr) const;
+  [[nodiscard]] SearchArtifact run(
+      const ir::Module& module, const vm::Profile& profile,
+      hwlib::CircuitDb& db, PipelineObserver& observer,
+      estimation::EstimateCache* estimates = nullptr) const;
 
  private:
   const SpecializerConfig& config_;
@@ -152,10 +142,9 @@ class SpecializationPipeline {
   /// `cache`, `estimates` and `executor` are borrowed, may be shared across
   /// concurrent pipelines (all are internally synchronized), and may be
   /// null. With a null `executor` and more than one resolved `jobs`, run()
-  /// spins up a private WorkStealingPool for the duration of the run; with
-  /// a non-null one (the server's shared pool), this pipeline submits its
-  /// phase-tagged tasks there unless `jobs = 1`, and owns no threads at
-  /// all.
+  /// spins up a private WorkStealingPool for its CAD sweep; with a non-null
+  /// one (the server's shared pool), this pipeline submits its `Phase::Cad`
+  /// tasks there unless `jobs = 1`, and owns no threads at all.
   explicit SpecializationPipeline(const SpecializerConfig& config,
                                   BitstreamCache* cache = nullptr,
                                   estimation::EstimateCache* estimates = nullptr,

@@ -42,19 +42,16 @@ struct SpecializerConfig {
   /// Skip the CAD flow and use estimation-based hardware cycles (used by
   /// upper-bound experiments; no bitstreams are produced).
   bool implement_hardware = true;
-  /// Parallelism for the whole pipeline. All parallel work — per-block
-  /// search (`Phase::Search`), per-candidate estimation (`Phase::Estimate`)
-  /// and the per-candidate CAD chain (`Phase::Cad`) — runs as phase-tagged
-  /// tasks on ONE support::Executor; there is no static per-phase worker
-  /// split, idle workers steal across phases. 0 means
+  /// Parallelism of the CAD sweep. Candidate search always runs serially
+  /// on the calling thread; the per-candidate CAD chains of the final
+  /// selection run as `Phase::Cad` tasks on one support::Executor. 0 means
   /// hardware_concurrency, 1 runs strictly serially. When the caller lends
   /// a long-lived executor (the specialization server's shared
   /// WorkStealingPool), every value but 1 runs on it and the executor's
-  /// width decides the real parallelism; a direct call gets a run-scoped
-  /// private pool of `jobs` workers when that is more than one. Any value
-  /// produces a bit-identical SpecializationResult: CAD jitter is seeded
-  /// per candidate signature, block results are absorbed by a serial
-  /// reducer in block order, and all bookkeeping (cycle accounting,
+  /// width decides the real parallelism; a direct call gets a private pool
+  /// of `jobs` workers for the CAD sweep when that is more than one. Any
+  /// value produces a bit-identical SpecializationResult: CAD jitter is
+  /// seeded per candidate signature, and all bookkeeping (cycle accounting,
   /// registry insertion, `implemented` order, cache population) stays in a
   /// serial tail.
   unsigned jobs = 0;

@@ -13,6 +13,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Anytime selection (Selector::Isegen only): the fraction of a request's
+/// remaining deadline headroom — deadline minus the queue wait already
+/// spent — granted to the ISEGEN refinement loop as its wall-clock budget.
+/// The rest is reserved for CAD and the adaptation tail.
+constexpr double kIsegenHeadroom = 0.5;
+
 [[nodiscard]] double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
@@ -109,9 +115,10 @@ SpecializationServer::SpecializationServer(ServerConfig config)
     journal_->set_fsync(config_.specializer.journal_fsync);
     journal_->attach(cache_);
   }
-  // One coordinator thread per session slot. Coordinators submit tasks and
-  // block; the pool above holds the compute threads, so total compute
-  // threads stay `workers` no matter how many sessions run.
+  // One coordinator thread per session slot. Coordinators run their
+  // request's candidate search, then submit CAD tasks and block; the pool
+  // above holds the CAD threads, so they stay `workers` no matter how many
+  // sessions run.
   threads_.reserve(config_.max_sessions);
   for (unsigned i = 0; i < config_.max_sessions; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -437,18 +444,16 @@ void SpecializationServer::run_session(Session& session) {
 
   // Anytime selection: turn what is left of the request's deadline after its
   // queue wait into the ISEGEN wall-clock budget. Only a fraction
-  // (`isegen_headroom`) is granted — the rest stays reserved for CAD and the
-  // adaptation tail — and an explicit configured budget is only ever
-  // tightened, never extended. A request that arrives with (nearly) no
+  // (kIsegenHeadroom) is granted, and an explicit configured budget is only
+  // ever tightened, never extended. A request that arrives with (nearly) no
   // headroom gets a floor that still admits the first move batch; the
   // deadline token itself remains the backstop at every stage boundary.
   if (cfg.selector == jit::SpecializerConfig::Selector::Isegen &&
-      session.request.deadline_ms > 0.0 && config_.isegen_headroom > 0.0) {
+      session.request.deadline_ms > 0.0) {
     const double queue_ms = ms_between(ticket->submitted_at, start);
     const double headroom =
         std::max(0.0, session.request.deadline_ms - queue_ms);
-    const double slice =
-        std::max(0.01, headroom * config_.isegen_headroom);
+    const double slice = std::max(0.01, headroom * kIsegenHeadroom);
     if (cfg.isegen.time_budget_ms <= 0.0 ||
         slice < cfg.isegen.time_budget_ms) {
       cfg.isegen.time_budget_ms = slice;
@@ -460,7 +465,8 @@ void SpecializationServer::run_session(Session& session) {
   std::optional<jit::SpecializationResult> result;
   pipeline_runs_.fetch_add(1, std::memory_order_relaxed);
   try {
-    // The session coordinator only submits to the server-wide pool and waits.
+    // The session coordinator searches on its own thread, then submits CAD
+    // to the server-wide pool and waits.
     jit::SpecializationPipeline pipeline(cfg, &cache_, &estimates_, &pool_);
     pipeline.add_observer(&progress);
     if (config_.pipeline_observer) {

@@ -10,11 +10,11 @@
 //                 follower, skip the             round-robin scheduler
 //                 pipeline entirely)             (priority FIFO in-tenant)
 //                                                   │
-//                       session coordinators (`max_sessions` cheap threads
-//                       that mostly block) run SpecializationPipeline
+//                       session coordinators (`max_sessions` threads that
+//                       search, then mostly block) run SpecializationPipeline
 //                       against the ONE shared BitstreamCache +
-//                       EstimateCache, submitting all compute as
-//                       phase-tagged tasks to the ONE shared
+//                       EstimateCache, submitting each selected candidate's
+//                       CAD chain as a `Phase::Cad` task to the ONE shared
 //                       WorkStealingPool of `workers` threads
 //
 // Request coalescing (the serving stack's first memoization tier, ahead of
@@ -36,11 +36,12 @@
 //
 // Execution substrate: session concurrency is a *scheduling* property
 // (`max_sessions` coordinator threads), compute width is a *thread-count*
-// property (`workers` pool threads) — and the two no longer multiply. Every
-// session's search/estimate/CAD tasks land in the one work-stealing pool,
-// so total compute threads are bounded by `workers` no matter how many
-// tenants or sessions are in flight, an idle worker steals whichever phase
-// (of whichever session) is backed up.
+// property (`workers` pool threads) — and the two no longer multiply. A
+// session searches candidates on its own coordinator thread (milliseconds);
+// every session's CAD tasks land in the one work-stealing pool, so CAD
+// threads are bounded by `workers` no matter how many tenants or sessions
+// are in flight, and an idle worker steals whichever session's CAD work is
+// backed up.
 //
 // Cancellation/deadlines are cooperative: the pipeline polls the request's
 // token at stage boundaries only — never inside a cache or journal mutation
@@ -76,13 +77,14 @@ namespace jitise::server {
 
 struct ServerConfig {
   /// Compute threads in the ONE shared work-stealing pool every session's
-  /// phase-tagged tasks run on (0 clamps to 1). This — not the session
-  /// count — bounds the server's total compute threads.
+  /// CAD tasks run on (0 clamps to 1). This — not the session count —
+  /// bounds the server's CAD threads.
   unsigned workers = 2;
-  /// Concurrent sessions (pipelines in flight). A session is a cheap
-  /// coordinator thread that submits tasks and blocks on their completion;
-  /// 0 defaults to `workers`. Raising it admits more requests into the
-  /// pool's scheduling mix without adding compute threads.
+  /// Concurrent sessions (pipelines in flight). A session is a coordinator
+  /// thread that runs its request's candidate search, submits the CAD tasks
+  /// and blocks on their completion; 0 defaults to `workers`. Raising it
+  /// admits more requests into the pool's scheduling mix without adding
+  /// pool threads.
   unsigned max_sessions = 0;
   /// Bound on admitted-but-not-started requests; a submit beyond it is
   /// rejected with reason (backpressure, never silent queueing).
@@ -106,14 +108,6 @@ struct ServerConfig {
   /// hold no admission-queue slot and no round-robin turn. Off runs every
   /// admitted request through the pipeline (differential testing).
   bool coalesce_requests = true;
-  /// Anytime selection (Selector::Isegen only): fraction of a request's
-  /// remaining deadline headroom — deadline minus the queue wait already
-  /// spent — granted to the ISEGEN refinement loop as its wall-clock budget.
-  /// The rest is reserved for CAD + adaptation so refinement never eats the
-  /// whole deadline. Only *tightens* an explicit
-  /// `specializer.isegen.time_budget_ms`; requests without a deadline keep
-  /// the configured budget. 0 disables the mapping entirely.
-  double isegen_headroom = 0.5;
   /// Extra PipelineObserver installed on every session's pipeline (not
   /// owned; must be internally synchronized and outlive the server). Used
   /// by tests and tracing; null = none.

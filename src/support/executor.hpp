@@ -1,16 +1,17 @@
-// Executor — the phase-tagged task-submission interface all pipeline
-// compute runs through.
+// Executor — the phase-tagged task-submission interface the pipeline's
+// parallel work runs through.
 //
-// The specialization pipeline has three kinds of parallel work: per-block
-// candidate identification (`Phase::Search`), per-candidate estimation
-// (`Phase::Estimate`) and the per-candidate CAD chain (`Phase::Cad`). A
-// stage never owns threads; it submits tagged tasks to an Executor it
-// borrows — either a pipeline-private pool (direct `specialize()` calls) or
-// the server-wide WorkStealingPool shared by every tenant session. The tag
-// is scheduling metadata (observability, steal accounting, future
-// phase-aware policies); it never affects results, because all
-// order-sensitive reduction happens on the submitting thread (see
-// support::OrderedReducer and the stages' serial tails).
+// The specialization pipeline fans out one kind of work: the per-candidate
+// CAD chain (`Phase::Cad`); candidate search runs serially on the session
+// thread. `Phase::Search` and `Phase::Estimate` remain as tags for other
+// submitters (the bench drivers tag whole-app tasks `Search`) and keep the
+// per-phase counters' layout stable. A stage never owns threads; it submits
+// tagged tasks to an Executor it borrows — either a pipeline-private pool
+// (direct `specialize()` calls) or the server-wide WorkStealingPool shared
+// by every tenant session. The tag is scheduling metadata (observability,
+// steal accounting); it never affects results, because all order-sensitive
+// reduction happens on the submitting thread (signature-keyed result slots
+// and the stages' serial tails).
 //
 // Completion is tracked per TaskGroup, not per executor, so many sessions
 // can share one executor and each still has a private "my batch is done"

@@ -1,25 +1,23 @@
 // WorkStealingPool — the system-wide phase-tagged executor.
 //
 // One fixed set of worker threads serves every concurrent pipeline run
-// (every server session), so total compute threads are bounded by the pool
-// size no matter how many sessions exist. Each worker owns a deque:
+// (every server session's CAD sweep), so total compute threads are bounded
+// by the pool size no matter how many sessions exist. Each worker owns a
+// deque:
 //
-//   * submissions from a pool worker (e.g. a Search task chaining its
-//     block's Estimate task) push onto that worker's own deque, and the
-//     owner pops from the back — LIFO, so freshly produced work runs while
-//     its inputs are cache-hot;
+//   * submissions from a pool worker (a task that submits follow-up work)
+//     push onto that worker's own deque, and the owner pops from the back —
+//     LIFO, so freshly produced work runs while its inputs are cache-hot;
 //   * submissions from outside the pool (session coordinator threads) are
 //     placed round-robin across the deques;
 //   * a worker whose own deque is empty steals from the FRONT of another
 //     worker's deque — FIFO, so thieves take the oldest (coldest, and for
 //     chained work the most upstream) task, regardless of phase or of which
-//     session submitted it. Cross-phase, cross-session stealing is what
-//     retires the old static search/CAD budget split: an idle CAD worker
-//     drains search blocks and vice versa.
+//     session submitted it.
 //
 // Determinism: the pool makes no ordering promises whatsoever, and nothing
 // downstream needs one — callers reduce results on their own thread in a
-// fixed order (OrderedReducer, signature-keyed slots), which keeps any
+// fixed order (signature-keyed result slots, serial tails), which keeps any
 // schedule bit-identical to serial execution.
 //
 // Shutdown contract: the destructor wakes every worker and workers keep

@@ -397,9 +397,8 @@ const std::vector<CandidateDesign>& candidate_corpus() {
       machine.run(app.entry, app.datasets[0].args, 1ull << 30);
       hwlib::CircuitDb db;
       jit::PipelineObserver quiet;
-      jit::SearchArtifact art;
-      jit::CandidateSearchStage(cfg).run(app.module, machine.profile(), db,
-                                         quiet, art);
+      const jit::SearchArtifact art = jit::CandidateSearchStage(cfg).run(
+          app.module, machine.profile(), db, quiet);
       std::vector<std::size_t> picked;
       for (std::size_t g = 0; g < art.graphs.size(); ++g) {
         // art.graph_of is non-decreasing: the prefix ending at block g.

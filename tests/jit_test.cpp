@@ -7,7 +7,6 @@
 
 #include "apps/app.hpp"
 #include "ir/builder.hpp"
-#include "ir/random_program.hpp"
 #include "ir/verifier.hpp"
 #include "ise/identify.hpp"
 #include "support/rng.hpp"
@@ -183,35 +182,6 @@ TEST(Specializer, ParallelMatchesSerialOnEmbeddedApps) {
                                           parallel_cfg, &parallel_cache);
     expect_spec_equal(serial, parallel);
     expect_cache_equal(serial_cache, parallel_cache);
-  }
-}
-
-TEST(Specializer, ParallelSearchMatchesSerialOnRandomPrograms) {
-  // Differential check for the parallel candidate search alone: estimation-
-  // only specialization (no CAD, so any divergence is the search stage's
-  // fault) over generated programs with many pruned blocks must be
-  // bit-identical between jobs=1 and a wide pool.
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    ir::RandomProgramConfig prog_cfg;
-    prog_cfg.seed = seed;
-    prog_cfg.blocks_per_function = 8;
-    const Module m = ir::generate_random_program(prog_cfg);
-    vm::Machine machine(m);
-    const vm::Slot args[] = {vm::Slot::of_int(static_cast<std::int64_t>(seed))};
-    machine.run("main", args, 1ull << 28);
-
-    jit::SpecializerConfig serial_cfg;
-    serial_cfg.implement_hardware = false;
-    serial_cfg.prune = ise::PruneConfig::none();  // every block fans out
-    serial_cfg.jobs = 1;
-    jit::SpecializerConfig parallel_cfg = serial_cfg;
-    parallel_cfg.jobs = 8;
-
-    const auto serial = jit::specialize(m, machine.profile(), serial_cfg);
-    const auto parallel = jit::specialize(m, machine.profile(), parallel_cfg);
-    EXPECT_GT(serial.prune.blocks.size(), 1u);  // the fan-out actually fans
-    expect_spec_equal(serial, parallel);
   }
 }
 
@@ -428,39 +398,6 @@ TEST(Pipeline, ObserverEventsAreOrderedInStagedRun) {
       EXPECT_LT(static_cast<std::ptrdiff_t>(i), exit_search);
     }
   }
-}
-
-TEST(Pipeline, BlockEventsStayOrderedWithParallelSearch) {
-  // Out-of-order completion stress for the search reducer: a program with
-  // many pruned blocks, searched by a wide pool, must still deliver the
-  // per-block observer events in strict block order (searched:k, k
-  // ascending) — the reducer buffers whatever finishes early.
-  ir::RandomProgramConfig prog_cfg;
-  prog_cfg.seed = 7;
-  prog_cfg.blocks_per_function = 10;
-  const Module m = ir::generate_random_program(prog_cfg);
-  vm::Machine machine(m);
-  const vm::Slot args[] = {vm::Slot::of_int(3)};
-  machine.run("main", args, 1ull << 28);
-
-  jit::SpecializerConfig config;
-  config.implement_hardware = false;
-  config.prune = ise::PruneConfig::none();  // every block fans out
-  config.jobs = 8;
-  RecordingObserver rec;
-  jit::SpecializationPipeline pipeline(config);
-  pipeline.add_observer(&rec);
-  const auto result = pipeline.run(m, machine.profile());
-  ASSERT_GT(result.prune.blocks.size(), 1u);  // the fan-out actually fans
-
-  std::vector<std::size_t> searched;
-  for (const auto& e : rec.events) {
-    if (e.rfind("searched:", 0) == 0)
-      searched.push_back(std::stoul(e.substr(9)));
-  }
-  ASSERT_EQ(searched.size(), result.prune.blocks.size());
-  for (std::size_t k = 0; k < searched.size(); ++k)
-    EXPECT_EQ(searched[k], k);  // strict block order despite 8 workers
 }
 
 TEST(Pipeline, ParallelRunIsStaged) {

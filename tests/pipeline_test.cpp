@@ -94,10 +94,13 @@ TEST_P(Pipeline, CacheRoundTripMatchesFreshImplementation) {
 }
 
 TEST_P(Pipeline, ParallelSearchMatchesSerialSearch) {
-  // Differential check per app: estimation-only specialization (the CAD flow
-  // stays out of the picture, so any divergence pins the search stage) must
-  // be bit-identical between a serial and a parallel candidate search. The
-  // worker count follows JITISE_JOBS so the CI matrix can sweep it.
+  // Differential check per app: the full pipeline with its per-candidate CAD
+  // chains fanned out over a pool must be bit-identical to the serial run —
+  // every implemented candidate (modeled seconds included), the failure
+  // count, the predicted speedup and the bitstream cache it fills. The
+  // worker count follows JITISE_JOBS so CI can run it wide. The name dates
+  // from the block-parallel candidate search; the search is serial now and
+  // the CAD sweep is the only parallel leg.
   const apps::App app = apps::build_app(GetParam());
   const auto profile = profile_of(app);
 
@@ -108,25 +111,56 @@ TEST_P(Pipeline, ParallelSearchMatchesSerialSearch) {
   }
 
   jit::SpecializerConfig serial_cfg;
-  serial_cfg.implement_hardware = false;
   serial_cfg.jobs = 1;
   jit::SpecializerConfig parallel_cfg = serial_cfg;
   parallel_cfg.jobs = workers;
 
-  const auto serial = jit::specialize(app.module, profile, serial_cfg);
-  const auto parallel = jit::specialize(app.module, profile, parallel_cfg);
+  jit::BitstreamCache serial_cache, parallel_cache;
+  const auto serial =
+      jit::specialize(app.module, profile, serial_cfg, &serial_cache);
+  const auto parallel =
+      jit::specialize(app.module, profile, parallel_cfg, &parallel_cache);
   EXPECT_EQ(serial.candidates_found, parallel.candidates_found);
   EXPECT_EQ(serial.candidates_selected, parallel.candidates_selected);
-  EXPECT_DOUBLE_EQ(serial.predicted_speedup, parallel.predicted_speedup);
+  EXPECT_EQ(serial.candidates_failed, parallel.candidates_failed);
+  EXPECT_EQ(serial.predicted_speedup, parallel.predicted_speedup);
   ASSERT_EQ(serial.implemented.size(), parallel.implemented.size());
   for (std::size_t i = 0; i < serial.implemented.size(); ++i) {
-    EXPECT_EQ(serial.implemented[i].name, parallel.implemented[i].name);
-    EXPECT_EQ(serial.implemented[i].signature,
-              parallel.implemented[i].signature);
-    EXPECT_EQ(serial.implemented[i].hw_cycles,
-              parallel.implemented[i].hw_cycles);
-    EXPECT_DOUBLE_EQ(serial.implemented[i].area_slices,
-                     parallel.implemented[i].area_slices);
+    const jit::ImplementedCandidate& x = serial.implemented[i];
+    const jit::ImplementedCandidate& y = parallel.implemented[i];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.signature, y.signature);
+    EXPECT_EQ(x.cache_hit, y.cache_hit);
+    EXPECT_EQ(x.instructions, y.instructions);
+    EXPECT_EQ(x.cells, y.cells);
+    EXPECT_EQ(x.bitstream_bytes, y.bitstream_bytes);
+    EXPECT_EQ(x.hw_cycles, y.hw_cycles);
+    EXPECT_EQ(x.area_slices, y.area_slices);
+    EXPECT_EQ(x.c2v_s, y.c2v_s);
+    EXPECT_EQ(x.syn_s, y.syn_s);
+    EXPECT_EQ(x.xst_s, y.xst_s);
+    EXPECT_EQ(x.tra_s, y.tra_s);
+    EXPECT_EQ(x.map_s, y.map_s);
+    EXPECT_EQ(x.par_s, y.par_s);
+    EXPECT_EQ(x.bitgen_s, y.bitgen_s);
+  }
+
+  EXPECT_EQ(serial_cache.hits(), parallel_cache.hits());
+  EXPECT_EQ(serial_cache.misses(), parallel_cache.misses());
+  const auto serial_entries = serial_cache.snapshot();
+  const auto parallel_entries = parallel_cache.snapshot();
+  ASSERT_EQ(serial_entries.size(), parallel_entries.size());
+  for (std::size_t i = 0; i < serial_entries.size(); ++i) {
+    const auto& [sig_x, x] = serial_entries[i];
+    const auto& [sig_y, y] = parallel_entries[i];
+    EXPECT_EQ(sig_x, sig_y);
+    EXPECT_EQ(x.bitstream.bytes, y.bitstream.bytes);
+    EXPECT_EQ(x.bitstream.crc32, y.bitstream.crc32);
+    EXPECT_EQ(x.hw_cycles, y.hw_cycles);
+    EXPECT_EQ(x.critical_path_ns, y.critical_path_ns);
+    EXPECT_EQ(x.area_slices, y.area_slices);
+    EXPECT_EQ(x.cells, y.cells);
+    EXPECT_EQ(x.generation_seconds, y.generation_seconds);
   }
 }
 
@@ -241,9 +275,8 @@ TEST(IsegenAcceptance, BeatsGreedyAndReachesKnapsackOnRealApps) {
     cfg.implement_hardware = false;
     hwlib::CircuitDb db;
     jit::ObserverList observers;
-    jit::CandidateSearchStage stage(cfg);
-    jit::SearchArtifact art;
-    stage.run(app.module, machine.profile(), db, observers, art);
+    const jit::SearchArtifact art = jit::CandidateSearchStage(cfg).run(
+        app.module, machine.profile(), db, observers);
 
     ise::SelectConfig unconstrained;
     unconstrained.area_budget_slices = 1e18;
@@ -291,8 +324,8 @@ TEST(IsegenAcceptance, BeatsGreedyAndReachesKnapsackOnRealApps) {
 
 TEST(IsegenAcceptance, EndToEndSelectorIsDeterministicAcrossJobs) {
   // selector = Isegen through jit::specialize itself: refinement stats reach
-  // the result, and the fixed-iteration walk is bit-identical between a
-  // serial and a parallel candidate search.
+  // the result, and the fixed-iteration walk is bit-identical across `jobs`
+  // values.
   const apps::App app = apps::build_app("whetstone");
   vm::Machine machine(app.module);
   machine.run(app.entry, app.datasets[0].args, 1ull << 30);

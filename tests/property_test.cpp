@@ -161,9 +161,8 @@ TEST_P(RandomProgram, AnytimeSelectionMonotoneInBudget) {
   config.implement_hardware = false;
   hwlib::CircuitDb db;
   jit::ObserverList observers;
-  jit::CandidateSearchStage stage(config);
-  jit::SearchArtifact art;
-  stage.run(m, machine.profile(), db, observers, art);
+  const jit::SearchArtifact art =
+      jit::CandidateSearchStage(config).run(m, machine.profile(), db, observers);
   if (art.scored.empty()) GTEST_SKIP() << "no candidates for this seed";
 
   ise::SelectConfig unconstrained;

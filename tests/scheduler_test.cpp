@@ -181,9 +181,9 @@ struct SessionResult {
 
 /// One session's seeded task graph: `roots` Search tasks, each chaining an
 /// Estimate task, each chaining a Cad task (M=3 phases deep). Each leaf
-/// deposits into its own slot — the reduction is positional, exactly like
-/// the pipeline's OrderedReducer — and the checksum folds slots in index
-/// order on the session thread. `cancel_at` < roots simulates a
+/// deposits into its own slot — the reduction is positional, like the
+/// pipeline's pre-created CAD result slots — and the checksum folds slots in
+/// index order on the session thread. `cancel_at` < roots simulates a
 /// deadline/cancel firing mid-run: every task past that index still executes
 /// (it must — it was already submitted; losing it would hang the group) but
 /// reports a fixed "cancelled" sentinel instead of results, the way a
@@ -325,9 +325,8 @@ TEST(SchedulerStress, ConcurrentPipelinesOnSharedPoolMatchSerial) {
   std::vector<ProfiledApp> apps_v;
   for (const auto& n : names) apps_v.push_back(profiled_app(n));
 
-  // Serial oracle, fresh caches per app. Pruning off: the embedded apps
-  // prune to one hot block, which would keep the parallel search stage out
-  // of the picture entirely.
+  // Serial oracle, fresh caches per app. Pruning off: every executed block
+  // is searched, not just the one hot block these apps prune to.
   std::vector<jit::SpecializationResult> serial;
   for (const auto& p : apps_v) {
     jit::SpecializerConfig config;

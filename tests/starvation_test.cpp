@@ -107,9 +107,8 @@ TEST_P(StarvedKernel, StarvedPoolsAreUnprofitableNotEmpty) {
   cfg.implement_hardware = false;
   hwlib::CircuitDb db;
   jit::ObserverList observers;
-  jit::CandidateSearchStage stage(cfg);
-  jit::SearchArtifact art;
-  stage.run(app.module, profile, db, observers, art);
+  const jit::SearchArtifact art =
+      jit::CandidateSearchStage(cfg).run(app.module, profile, db, observers);
 
   ASSERT_FALSE(art.scored.empty()) << c.app << " found no candidates at all";
   for (const ise::ScoredCandidate& sc : art.scored)
@@ -129,9 +128,8 @@ TEST(StarvationProbe, IsegenCannotUnstarveAstarPath) {
   cfg.implement_hardware = false;
   hwlib::CircuitDb db;
   jit::ObserverList observers;
-  jit::CandidateSearchStage stage(cfg);
-  jit::SearchArtifact art;
-  stage.run(app.module, profile, db, observers, art);
+  const jit::SearchArtifact art =
+      jit::CandidateSearchStage(cfg).run(app.module, profile, db, observers);
   ASSERT_FALSE(art.scored.empty());
 
   const auto greedy = ise::select_greedy(art.scored, cfg.select);
@@ -154,9 +152,8 @@ TEST(StarvationProbe, GameTreeSelectionSurvivesIsegen) {
   cfg.implement_hardware = false;
   hwlib::CircuitDb db;
   jit::ObserverList observers;
-  jit::CandidateSearchStage stage(cfg);
-  jit::SearchArtifact art;
-  stage.run(app.module, profile, db, observers, art);
+  const jit::SearchArtifact art =
+      jit::CandidateSearchStage(cfg).run(app.module, profile, db, observers);
 
   const auto greedy = ise::select_greedy(art.scored, cfg.select);
   ise::IsegenConfig generous;

@@ -1,17 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <memory>
-#include <numeric>
-#include <thread>
 #include <vector>
 
 #include "support/duration.hpp"
-#include "support/ordered_reducer.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
 #include "support/table.hpp"
-#include "support/work_stealing_pool.hpp"
 
 namespace {
 
@@ -140,46 +134,6 @@ TEST(Table, Renders) {
 TEST(Table, Strf) {
   EXPECT_EQ(strf("%5.2f", 3.14159), " 3.14");
   EXPECT_EQ(strf("%d/%d", 3, 4), "3/4");
-}
-
-TEST(OrderedReducer, DeliversInIndexOrderDespiteShuffledProducers) {
-  // Producers fill slots in a deliberately scrambled order with jitter;
-  // the consumer must still see every value at its own index, and `take`
-  // must block until that specific slot is ready (later slots being ready
-  // must not unblock an earlier take).
-  constexpr std::size_t kSlots = 64;
-  OrderedReducer<std::size_t> reducer(kSlots);
-  EXPECT_EQ(reducer.size(), kSlots);
-
-  std::vector<std::size_t> order(kSlots);
-  std::iota(order.begin(), order.end(), 0u);
-  Xoshiro256 rng(0xD15ABEEFull);
-  for (std::size_t i = order.size(); i > 1; --i)
-    std::swap(order[i - 1], order[rng.below(i)]);
-
-  WorkStealingPool pool(4);
-  TaskGroup group;
-  for (const std::size_t slot : order) {
-    pool.submit(Phase::Search, group, [&reducer, slot] {
-      if (slot % 3 == 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      reducer.put(slot, slot * 10);
-    });
-  }
-  for (std::size_t i = 0; i < kSlots; ++i) EXPECT_EQ(reducer.take(i), i * 10);
-  group.wait();
-}
-
-TEST(OrderedReducer, SupportsMoveOnlyValues) {
-  OrderedReducer<std::unique_ptr<int>> reducer(3);
-  reducer.put(2, std::make_unique<int>(30));
-  reducer.put(0, std::make_unique<int>(10));
-  reducer.put(1, std::make_unique<int>(20));
-  for (int i = 0; i < 3; ++i) {
-    const auto value = reducer.take(static_cast<std::size_t>(i));
-    ASSERT_NE(value, nullptr);
-    EXPECT_EQ(*value, (i + 1) * 10);
-  }
 }
 
 }  // namespace
