@@ -52,11 +52,14 @@ void BM_AppProfilingRun(benchmark::State& state) {
   const char* names[] = {"adpcm", "fft", "sor", "whetstone"};
   const apps::App app = apps::build_app(names[state.range(0)]);
   state.SetLabel(app.name);
+  std::uint64_t steps = 0;
   for (auto _ : state) {
     vm::Machine machine(app.module);
     const auto r = machine.run(app.entry, app.datasets[0].args, 1ull << 30);
+    steps = r.steps;
     benchmark::DoNotOptimize(r);
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps) * state.iterations());
 }
 BENCHMARK(BM_AppProfilingRun)->DenseRange(0, 3);
 

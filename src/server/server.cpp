@@ -4,6 +4,9 @@
 #include <chrono>
 #include <exception>
 #include <utility>
+#if defined(__GLIBC__)
+#include <malloc.h>  // malloc_trim
+#endif
 
 #include "jit/pipeline.hpp"
 
@@ -485,6 +488,13 @@ void SpecializationServer::run_session(Session& session) {
 
   finish_session(session, state, std::move(reason), std::move(result),
                  progress.progress());
+#if defined(__GLIBC__)
+  // glibc keeps what a thread frees in that thread's malloc arena, and which
+  // coordinator takes a request is a race. Return the heap a session that
+  // implemented a candidate freed, so the footprint does not depend on the
+  // schedule. Other sessions are too short to pay for a trim of a big heap.
+  if (progress.progress().implemented > 0) ::malloc_trim(0);
+#endif
 }
 
 void SpecializationServer::finish_session(

@@ -41,7 +41,6 @@ struct CostModel {
   // Control.
   std::uint32_t branch = 3;       // taken-branch penalty dominated
   std::uint32_t call = 10;        // prologue/epilogue amortized
-  std::uint32_t phi = 0;          // register shuffling folded into branch
 
   /// Cycles for one dynamic execution of `op` at type `t` on the base CPU.
   [[nodiscard]] std::uint32_t cycles(ir::Opcode op, ir::Type t) const noexcept {
@@ -87,7 +86,7 @@ struct CostModel {
       case Opcode::Call:
         return call;
       case Opcode::Phi:
-        return phi;
+        return 0;  // register shuffling folded into the branch
       case Opcode::CustomOp:
         return 1;  // replaced by the FCM latency in the ASIP model
       case Opcode::Param: case Opcode::ConstInt: case Opcode::ConstFloat:

@@ -1,134 +1,54 @@
 #include "vm/eval.hpp"
 
-#include <cmath>
 #include <cstdint>
 
 #include "vm/interpreter.hpp"
 
 namespace jitise::vm {
 
-namespace {
-
-std::int64_t checked_sdiv(std::int64_t a, std::int64_t b, bool rem) {
-  if (b == 0) throw ExecutionError("integer division by zero");
-  if (a == INT64_MIN && b == -1) return rem ? 0 : a;  // wrap like hardware
-  return rem ? a % b : a / b;
+void pure::division_by_zero() {
+  throw ExecutionError("integer division by zero");
 }
-
-}  // namespace
 
 Slot eval_pure(const PureOp& spec, std::span<const Slot> ops) {
   using ir::Opcode;
-  using ir::Type;
-  const Type t = spec.type;
+  const ir::Type t = spec.type;
   const auto i = [&](std::size_t k) { return ops[k].i; };
   const auto f = [&](std::size_t k) { return ops[k].f; };
 
   switch (spec.op) {
-    case Opcode::Add: return Slot::of_int(ir::wrap_to(t, i(0) + i(1)));
-    case Opcode::Sub: return Slot::of_int(ir::wrap_to(t, i(0) - i(1)));
-    case Opcode::Mul: return Slot::of_int(ir::wrap_to(t, i(0) * i(1)));
-    case Opcode::SDiv:
-      return Slot::of_int(ir::wrap_to(t, checked_sdiv(i(0), i(1), false)));
-    case Opcode::SRem:
-      return Slot::of_int(ir::wrap_to(t, checked_sdiv(i(0), i(1), true)));
-    case Opcode::UDiv: {
-      const std::uint64_t b = ir::as_unsigned(t, i(1));
-      if (b == 0) throw ExecutionError("integer division by zero");
+    case Opcode::Add: return Slot::of_int(pure::add(t, i(0), i(1)));
+    case Opcode::Sub: return Slot::of_int(pure::sub(t, i(0), i(1)));
+    case Opcode::Mul: return Slot::of_int(pure::mul(t, i(0), i(1)));
+    case Opcode::SDiv: return Slot::of_int(pure::sdiv(t, i(0), i(1)));
+    case Opcode::SRem: return Slot::of_int(pure::srem(t, i(0), i(1)));
+    case Opcode::UDiv: return Slot::of_int(pure::udiv(t, i(0), i(1)));
+    case Opcode::URem: return Slot::of_int(pure::urem(t, i(0), i(1)));
+    case Opcode::And: return Slot::of_int(pure::bit_and(t, i(0), i(1)));
+    case Opcode::Or:  return Slot::of_int(pure::bit_or(t, i(0), i(1)));
+    case Opcode::Xor: return Slot::of_int(pure::bit_xor(t, i(0), i(1)));
+    case Opcode::Shl: return Slot::of_int(pure::shl(t, i(0), i(1)));
+    case Opcode::LShr: return Slot::of_int(pure::lshr(t, i(0), i(1)));
+    case Opcode::AShr: return Slot::of_int(pure::ashr(t, i(0), i(1)));
+    case Opcode::FAdd: return Slot::of_float(pure::fadd(t, f(0), f(1)));
+    case Opcode::FSub: return Slot::of_float(pure::fsub(t, f(0), f(1)));
+    case Opcode::FMul: return Slot::of_float(pure::fmul(t, f(0), f(1)));
+    case Opcode::FDiv: return Slot::of_float(pure::fdiv(t, f(0), f(1)));
+    case Opcode::ICmp:
+      return Slot::of_int(pure::icmp(static_cast<ir::ICmpPred>(spec.aux),
+                                     spec.src_type, i(0), i(1)) ? 1 : 0);
+    case Opcode::FCmp:
       return Slot::of_int(
-          ir::wrap_to(t, static_cast<std::int64_t>(ir::as_unsigned(t, i(0)) / b)));
-    }
-    case Opcode::URem: {
-      const std::uint64_t b = ir::as_unsigned(t, i(1));
-      if (b == 0) throw ExecutionError("integer division by zero");
-      return Slot::of_int(
-          ir::wrap_to(t, static_cast<std::int64_t>(ir::as_unsigned(t, i(0)) % b)));
-    }
-    case Opcode::And: return Slot::of_int(ir::wrap_to(t, i(0) & i(1)));
-    case Opcode::Or:  return Slot::of_int(ir::wrap_to(t, i(0) | i(1)));
-    case Opcode::Xor: return Slot::of_int(ir::wrap_to(t, i(0) ^ i(1)));
-    case Opcode::Shl: {
-      const unsigned width = ir::bit_width(t);
-      const std::uint64_t sh = ir::as_unsigned(t, i(1)) % width;
-      return Slot::of_int(ir::wrap_to(t, i(0) << sh));
-    }
-    case Opcode::LShr: {
-      const unsigned width = ir::bit_width(t);
-      const std::uint64_t sh = ir::as_unsigned(t, i(1)) % width;
-      return Slot::of_int(
-          ir::wrap_to(t, static_cast<std::int64_t>(ir::as_unsigned(t, i(0)) >> sh)));
-    }
-    case Opcode::AShr: {
-      const unsigned width = ir::bit_width(t);
-      const std::uint64_t sh = ir::as_unsigned(t, i(1)) % width;
-      return Slot::of_int(ir::wrap_to(t, i(0) >> sh));
-    }
-    case Opcode::FAdd: return Slot::of_float(t == Type::F32
-        ? static_cast<float>(static_cast<float>(f(0)) + static_cast<float>(f(1)))
-        : f(0) + f(1));
-    case Opcode::FSub: return Slot::of_float(t == Type::F32
-        ? static_cast<float>(static_cast<float>(f(0)) - static_cast<float>(f(1)))
-        : f(0) - f(1));
-    case Opcode::FMul: return Slot::of_float(t == Type::F32
-        ? static_cast<float>(static_cast<float>(f(0)) * static_cast<float>(f(1)))
-        : f(0) * f(1));
-    case Opcode::FDiv: return Slot::of_float(t == Type::F32
-        ? static_cast<float>(static_cast<float>(f(0)) / static_cast<float>(f(1)))
-        : f(0) / f(1));
-    case Opcode::ICmp: {
-      const Type ot = spec.src_type;
-      const std::int64_t a = i(0), b = i(1);
-      const std::uint64_t ua = ir::as_unsigned(ot, a), ub = ir::as_unsigned(ot, b);
-      bool r = false;
-      switch (static_cast<ir::ICmpPred>(spec.aux)) {
-        case ir::ICmpPred::Eq:  r = a == b; break;
-        case ir::ICmpPred::Ne:  r = a != b; break;
-        case ir::ICmpPred::Slt: r = a < b; break;
-        case ir::ICmpPred::Sle: r = a <= b; break;
-        case ir::ICmpPred::Sgt: r = a > b; break;
-        case ir::ICmpPred::Sge: r = a >= b; break;
-        case ir::ICmpPred::Ult: r = ua < ub; break;
-        case ir::ICmpPred::Ule: r = ua <= ub; break;
-        case ir::ICmpPred::Ugt: r = ua > ub; break;
-        case ir::ICmpPred::Uge: r = ua >= ub; break;
-      }
-      return Slot::of_int(r ? 1 : 0);
-    }
-    case Opcode::FCmp: {
-      const double a = f(0), b = f(1);
-      bool r = false;
-      switch (static_cast<ir::FCmpPred>(spec.aux)) {
-        case ir::FCmpPred::OEq: r = a == b; break;
-        case ir::FCmpPred::ONe: r = a != b; break;
-        case ir::FCmpPred::OLt: r = a < b; break;
-        case ir::FCmpPred::OLe: r = a <= b; break;
-        case ir::FCmpPred::OGt: r = a > b; break;
-        case ir::FCmpPred::OGe: r = a >= b; break;
-      }
-      return Slot::of_int(r ? 1 : 0);
-    }
-    case Opcode::Select: return i(0) != 0 ? ops[1] : ops[2];
-    case Opcode::ZExt:
-      return Slot::of_int(static_cast<std::int64_t>(ir::as_unsigned(spec.src_type, i(0))));
-    case Opcode::SExt: return Slot::of_int(i(0));  // stored sign-extended
-    case Opcode::Trunc: return Slot::of_int(ir::wrap_to(t, i(0)));
-    case Opcode::FPToSI: {
-      // Saturate like most hardware before the cast (double -> int64 is UB
-      // in C++ when out of range).
-      double v = f(0);
-      if (std::isnan(v)) return Slot::of_int(0);
-      constexpr double kLimit = 4.611686018427388e18;  // 2^62
-      if (v > kLimit) v = kLimit;
-      if (v < -kLimit) v = -kLimit;
-      return Slot::of_int(ir::wrap_to(t, static_cast<std::int64_t>(v)));
-    }
-    case Opcode::SIToFP:
-      return Slot::of_float(t == Type::F32 ? static_cast<float>(i(0))
-                                           : static_cast<double>(i(0)));
-    case Opcode::FPExt: return Slot::of_float(f(0));
-    case Opcode::FPTrunc: return Slot::of_float(static_cast<float>(f(0)));
-    case Opcode::Gep:
-      return Slot::of_int(ir::wrap_to(Type::Ptr, i(0) + i(1) * spec.imm));
+          pure::fcmp(static_cast<ir::FCmpPred>(spec.aux), f(0), f(1)) ? 1 : 0);
+    case Opcode::Select: return pure::select(i(0), ops[1], ops[2]);
+    case Opcode::ZExt: return Slot::of_int(pure::zext(spec.src_type, i(0)));
+    case Opcode::SExt: return Slot::of_int(pure::sext(i(0)));
+    case Opcode::Trunc: return Slot::of_int(pure::trunc(t, i(0)));
+    case Opcode::FPToSI: return Slot::of_int(pure::fptosi(t, f(0)));
+    case Opcode::SIToFP: return Slot::of_float(pure::sitofp(t, i(0)));
+    case Opcode::FPExt: return Slot::of_float(pure::fpext(f(0)));
+    case Opcode::FPTrunc: return Slot::of_float(pure::fptrunc(f(0)));
+    case Opcode::Gep: return Slot::of_int(pure::gep(i(0), i(1), spec.imm));
     default:
       throw ExecutionError("eval_pure: opcode is not pure");
   }

@@ -7,12 +7,34 @@
 //   2. a profile: per-basic-block execution counts and dynamic cycle counts
 //      under the PPC405 cost model, which drive pruning, estimation,
 //      coverage classification and break-even analysis.
+//
+// Decoded form. A function is decoded on its first call into a flat op array:
+// operand slots and the op's cycle cost inline, one op kind per hot
+// (opcode, type) pair, phis lowered to one parallel-copy list per CFG edge.
+// Each call's registers are a frame bump-allocated on one Machine-owned
+// stack. The module must not change while a Machine built on it lives: the
+// decoded form is never rebuilt.
+//
+// Exact profiles. Counters move once per *segment* — a block's instructions
+// up to and including each Call, or up to the terminator — by the segment's
+// precomputed step, cycle and opcode counts. Everything observable matches
+// counting one instruction at a time:
+//   - a window tick at block entry sees the exact dynamic count, because a
+//     segment never spans a call (a callee's block entries tick mid-caller);
+//   - a block's phis count as one group (0 cycles) followed by one step
+//     budget check; a phi without an arc for the incoming edge throws at block
+//     entry, after the block count and the window tick;
+//   - a segment that would cross the step budget runs one instruction at a
+//     time, so the error fires at the same instruction with the same counts;
+//   - a trap counts the trapping instruction but not the rest of its segment;
+//   - a block without a terminator runs its instructions, then throws.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -102,14 +124,17 @@ using CustomOpHandler =
 
 /// A loaded module + memory image, ready to execute.
 ///
-/// Globals are placed into memory at construction (and on reset()); the
-/// profile accumulates across runs until clear_profile().
+/// Globals are placed into memory at construction (and on reset_memory());
+/// the profile accumulates across runs until clear_profile(). `module` must
+/// outlive the Machine and stay unchanged while it lives.
 class Machine {
  public:
   explicit Machine(const ir::Module& module, CostModel cost = {},
                    std::uint32_t memory_bytes = 16u << 20);
+  ~Machine();
 
-  /// Re-initializes memory and global placement; keeps the profile.
+  /// Replaces memory with a fresh all-zero image and re-places the globals;
+  /// keeps the profile.
   void reset_memory();
 
   [[nodiscard]] Memory& memory() noexcept { return memory_; }
@@ -125,7 +150,9 @@ class Machine {
   }
 
   /// Executes `fn` with `args`. Throws ExecutionError on trap or when the
-  /// dynamic instruction count of this run exceeds `max_steps`.
+  /// dynamic instruction count of this run exceeds `max_steps`. A throwing
+  /// run leaves the profile counting up to and including the instruction
+  /// that threw, and does not release the allocas of the frames it unwinds.
   RunResult run(ir::FuncId fn, std::span<const Slot> args,
                 std::uint64_t max_steps = 1ull << 32);
   RunResult run(std::string_view fn_name, std::span<const Slot> args,
@@ -160,10 +187,24 @@ class Machine {
   }
 
  private:
-  struct Frame;
-  Slot exec_function(ir::FuncId fn, std::span<const Slot> args, unsigned depth);
-  Slot eval_instruction(const ir::Function& f, const ir::Instruction& inst,
-                        Frame& frame, unsigned depth);
+  struct Decoded;
+  struct Op;
+  struct Edge;
+  struct Segment;
+  class Decoder;
+
+  void place_globals();
+  const Decoded& decoded(ir::FuncId fn);
+  Slot exec(ir::FuncId fn, std::uint32_t base, std::size_t nargs,
+            unsigned depth);
+  const Op* enter(const Decoded& d, const Edge& edge, ir::FuncId fn,
+                  Slot* regs, std::uint64_t* block_counts);
+  void count(const Decoded& d, const Segment& seg, const Op* first,
+             Slot* regs);
+  [[noreturn]] void exhaust(const Decoded& d, const Segment& seg,
+                            const Op* op, Slot* regs);
+  void uncount_rest(const Op* op) noexcept;
+  void step(const Decoded& d, const Op& op, Slot* regs);
 
   const ir::Module& module_;
   CostModel cost_;
@@ -183,9 +224,11 @@ class Machine {
   std::uint64_t window_next_ = UINT64_MAX;
   std::deque<ProfileWindow> windows_;
   std::uint64_t windows_closed_ = 0;
-  // Per-function constant/param presets, computed lazily.
-  std::vector<std::vector<Slot>> const_frames_;
-  std::vector<bool> const_ready_;
+  // Per-function decoded form, built on the function's first call.
+  std::vector<std::unique_ptr<Decoded>> decoded_;
+  // The register stack: each active call's frame, innermost last. Growing it
+  // moves every frame, so a caller re-derives its frame pointer after a call.
+  std::vector<Slot> regs_;
 };
 
 }  // namespace jitise::vm

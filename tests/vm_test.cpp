@@ -1,15 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <deque>
+#include <type_traits>
+
+#include "apps/app.hpp"
 #include "ir/builder.hpp"
+#include "ir/random_program.hpp"
 #include "ir/verifier.hpp"
+#include "jit/specializer.hpp"
 #include "vm/coverage.hpp"
 #include "vm/interpreter.hpp"
 #include "vm/time_model.hpp"
+#include "vm_reference.hpp"
 
 namespace {
 
 using namespace jitise::ir;
 using namespace jitise::vm;
+namespace apps = jitise::apps;
+namespace jit = jitise::jit;
 
 Module make_sum_module() {
   Module m;
@@ -192,6 +202,34 @@ TEST(Interpreter, CustomOpHandler) {
 
   machine.set_custom_handler({});
   EXPECT_THROW(machine.run("f", args), ExecutionError);
+}
+
+TEST(Interpreter, ResetMemoryGivesAFreshImage) {
+  Module m;
+  add_global(m, "g", std::vector<std::uint8_t>{1, 2, 3, 4});
+  FunctionBuilder fb(m, "f", Type::I32, {});
+  fb.ret(fb.const_int(Type::I32, 0));
+  fb.finish();
+  Machine machine(m);
+  Memory& mem = machine.memory();
+  const std::uint32_t g = machine.global_address(0);
+  const std::uint32_t top = mem.size() - 8;
+  EXPECT_EQ(mem.read<std::uint8_t>(g + 3), 4);
+  EXPECT_EQ(mem.read<std::uint64_t>(top), 0u);
+  mem.write<std::uint8_t>(g + 3, 9);
+  mem.write<std::uint64_t>(top, 9);
+  machine.reset_memory();
+  EXPECT_EQ(machine.global_address(0), g);
+  EXPECT_EQ(machine.memory().read<std::uint8_t>(g + 3), 4);
+  EXPECT_EQ(machine.memory().read<std::uint64_t>(top), 0u);
+
+  static_assert(!std::is_copy_constructible_v<Memory>);
+  Memory a(1u << 16);
+  a.write<std::uint32_t>(64, 42);
+  const Memory b = std::move(a);
+  EXPECT_EQ(b.size(), 1u << 16);
+  EXPECT_EQ(b.read<std::uint32_t>(64), 42u);
+  EXPECT_THROW((void)b.read<std::uint32_t>((1u << 16) - 2), MemoryFault);
 }
 
 TEST(Coverage, ClassifiesLiveConstDead) {
@@ -472,6 +510,297 @@ TEST(Windowing, CoverageOverPhaseWindows) {
   EXPECT_EQ(cov.classes[pa][1], CoverageClass::Live);
   EXPECT_EQ(cov.classes[pb][1], CoverageClass::Live);
   EXPECT_GT(cov.live_pct, 0.0);
+}
+
+// --- The decoded interpreter against the per-instruction reference --------
+
+/// Everything one run shows: its result or its exception, then the profile
+/// and the window stream.
+struct Observed {
+  std::string error;
+  RunResult result;
+  Profile profile;
+  std::deque<ProfileWindow> windows;
+  std::uint64_t windows_closed = 0;
+};
+
+template <typename M>
+Observed observe(M& machine, FuncId fn, std::span<const Slot> args,
+                 std::uint64_t budget) {
+  Observed o;
+  try {
+    o.result = machine.run(fn, args, budget);
+  } catch (const MemoryFault& e) {
+    o.error = std::string("MemoryFault: ") + e.what();
+  } catch (const ExecutionError& e) {
+    o.error = std::string("ExecutionError: ") + e.what();
+  }
+  o.profile = machine.profile();
+  o.windows = machine.windows();
+  o.windows_closed = machine.windows_closed();
+  return o;
+}
+
+bool same_profile(const Profile& a, const Profile& b) {
+  return a.block_counts == b.block_counts &&
+         a.dyn_instructions == b.dyn_instructions &&
+         a.cpu_cycles == b.cpu_cycles && a.opcode_counts == b.opcode_counts;
+}
+
+/// The first difference between two observations, or "".
+std::string difference(const Observed& got, const Observed& want) {
+  if (got.error != want.error)
+    return "error '" + got.error + "' vs '" + want.error + "'";
+  if (got.result.ret.i != want.result.ret.i ||
+      std::memcmp(&got.result.ret.f, &want.result.ret.f, sizeof(double)) != 0)
+    return "return value";
+  if (got.result.steps != want.result.steps) return "steps";
+  if (got.result.cycles != want.result.cycles) return "cycles";
+  if (!same_profile(got.profile, want.profile)) return "profile";
+  if (got.windows_closed != want.windows_closed) return "windows closed";
+  if (got.windows.size() != want.windows.size()) return "windows retained";
+  for (std::size_t w = 0; w < got.windows.size(); ++w)
+    if (got.windows[w].index != want.windows[w].index ||
+        !same_profile(got.windows[w].delta, want.windows[w].delta))
+      return "window " + std::to_string(got.windows[w].index);
+  return "";
+}
+
+struct Case {
+  std::string name;
+  const Module* module = nullptr;
+  FuncId fn = 0;
+  std::vector<Slot> args;
+  WindowConfig windows{};
+  std::uint64_t budget = 1ull << 32;
+  CustomOpHandler handler{};
+  bool traps = false;  // the run is expected to throw
+};
+
+/// Runs `c` on a decoded and a reference machine. A run that throws runs
+/// once more on the same two machines: the rerun starts from whatever the
+/// trap left behind, such as an alloca stack it never released. Returns the
+/// first difference, or "".
+std::string compare(const Case& c) {
+  Machine decoded(*c.module);
+  reference::Machine ref(*c.module);
+  decoded.set_custom_handler(c.handler);
+  ref.set_custom_handler(c.handler);
+  decoded.enable_windowing(c.windows);
+  ref.enable_windowing(c.windows);
+  const Observed got = observe(decoded, c.fn, c.args, c.budget);
+  std::string diff = difference(got, observe(ref, c.fn, c.args, c.budget));
+  if (diff.empty() && got.error.empty() == c.traps)
+    diff = c.traps ? "no trap" : "unexpected trap: " + got.error;
+  if (!diff.empty()) return c.name + ": " + diff;
+  if (!c.traps) return "";
+  diff = difference(observe(decoded, c.fn, c.args, c.budget),
+                    observe(ref, c.fn, c.args, c.budget));
+  return diff.empty() ? "" : c.name + " (rerun): " + diff;
+}
+
+WindowConfig tick_windows() {
+  WindowConfig wc;
+  wc.instructions_per_window = 997;
+  wc.ring_capacity = 256;
+  return wc;
+}
+
+WindowConfig run_windows() {
+  WindowConfig wc;
+  wc.ring_capacity = 256;
+  return wc;
+}
+
+FuncId function_id(const Module& m, std::string_view name) {
+  return static_cast<FuncId>(m.find_function(name));
+}
+
+std::uint64_t run_length(const Case& c) {
+  Machine probe(*c.module);
+  probe.set_custom_handler(c.handler);
+  return probe.run(c.fn, c.args).steps;
+}
+
+/// Adds `c` at `budget`; the run traps when it is longer than the budget.
+void add_budget(std::vector<Case>& cases, Case c, std::uint64_t budget,
+                std::uint64_t length) {
+  c.name += " budget " + std::to_string(budget);
+  c.budget = budget;
+  c.traps = length > budget;
+  cases.push_back(std::move(c));
+}
+
+/// Adds `c` at full budget and at budgets that run out at the start, in the
+/// middle and at the last instruction of the run. The budget variants close
+/// windows per run only: a run that runs out of budget closes none, so they
+/// check the profile a trap leaves.
+void add_budgets(std::vector<Case>& cases, const Case& c) {
+  const std::uint64_t steps = run_length(c);
+  cases.push_back(c);
+  Case limited = c;
+  limited.windows = run_windows();
+  for (std::uint64_t budget :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{7},
+        steps / 3, steps / 2 + 1, steps - 1})
+    add_budget(cases, limited, budget, steps);
+}
+
+/// Hand-built modules whose @main traps, by what traps.
+std::vector<std::pair<std::string, Module>> trap_modules() {
+  std::vector<std::pair<std::string, Module>> out;
+  const auto add_arith_tail = [](FunctionBuilder& fb, ValueId v) {
+    const ValueId a = fb.binop(Opcode::Add, v, fb.const_int(Type::I32, 1));
+    return fb.binop(Opcode::Mul, a, fb.const_int(Type::I32, 3));
+  };
+  {  // sdiv by zero in a callee, with work after it on both sides of the call
+    Module m;
+    FunctionBuilder callee(m, "divide", Type::I32, {Type::I32, Type::I32});
+    callee.ret(add_arith_tail(
+        callee, callee.binop(Opcode::SDiv, callee.param(0), callee.param(1))));
+    const FuncId div = callee.finish();
+    FunctionBuilder fb(m, "main", Type::I32, {});
+    const ValueId q = fb.call(div, Type::I32, {fb.const_int(Type::I32, 7),
+                                               fb.const_int(Type::I32, 0)});
+    fb.ret(add_arith_tail(fb, q));
+    fb.finish();
+    out.emplace_back("sdiv by zero", std::move(m));
+  }
+  {  // a load past the end of memory after an alloca
+    Module m;
+    FunctionBuilder fb(m, "main", Type::I32, {});
+    const ValueId buf = fb.alloca_bytes(64);
+    fb.store(fb.const_int(Type::I32, 5), buf);
+    const ValueId far = fb.gep(buf, fb.const_int(Type::I32, 1 << 28), 4);
+    fb.ret(add_arith_tail(fb, fb.load(Type::I32, far)));
+    fb.finish();
+    out.emplace_back("out-of-range load", std::move(m));
+  }
+  {  // a phi with no arc for the edge it is entered by
+    Module m;
+    FunctionBuilder fb(m, "main", Type::I32, {});
+    const BlockId mid = fb.new_block("mid");
+    const BlockId join = fb.new_block("join");
+    fb.br(mid);
+    fb.set_insert(mid);
+    fb.br(join);
+    fb.set_insert(join);
+    const ValueId p = fb.phi(Type::I32);
+    fb.phi_incoming(p, fb.const_int(Type::I32, 1), fb.entry());
+    fb.ret(add_arith_tail(fb, p));
+    fb.finish();
+    out.emplace_back("missing phi arc", std::move(m));
+  }
+  {  // a block without a terminator
+    Module m;
+    FunctionBuilder fb(m, "main", Type::I32, {});
+    const BlockId open = fb.new_block("open");
+    fb.br(open);
+    fb.set_insert(open);
+    add_arith_tail(fb, fb.const_int(Type::I32, 4));
+    fb.finish();
+    out.emplace_back("unterminated block", std::move(m));
+  }
+  {  // a phi after a non-phi instruction
+    Module m;
+    FunctionBuilder fb(m, "main", Type::I32, {});
+    const BlockId body = fb.new_block("body");
+    fb.br(body);
+    fb.set_insert(body);
+    const ValueId p = fb.phi(Type::I32);
+    fb.phi_incoming(p, fb.const_int(Type::I32, 2), fb.entry());
+    fb.ret(add_arith_tail(fb, p));
+    const FuncId f = fb.finish();
+    // The builder keeps phis at the block front: move this one behind the add.
+    auto& instrs = m.functions[f].blocks[body].instrs;
+    std::swap(instrs[0], instrs[1]);
+    out.emplace_back("phi after a non-phi", std::move(m));
+  }
+  {  // unbounded recursion: the call depth limit
+    Module m;
+    FunctionBuilder fb(m, "main", Type::I32, {Type::I32});
+    const ValueId next = fb.binop(Opcode::Add, fb.param(0), fb.const_int(Type::I32, 1));
+    const ValueId r = fb.call(0, Type::I32, {next});
+    fb.ret(add_arith_tail(fb, r));
+    fb.finish();
+    out.emplace_back("call depth", std::move(m));
+  }
+  return out;
+}
+
+TEST(VmDecoded, MatchesReference) {
+  std::deque<Module> modules;  // stable addresses for the cases
+  std::vector<Case> cases;
+
+  // Every app's train set; every data set of the four embedded apps.
+  std::deque<apps::App> suite;
+  for (const std::string& name : apps::app_names()) {
+    const apps::App& app = suite.emplace_back(apps::build_app(name));
+    for (std::size_t ds = 0; ds < app.datasets.size(); ++ds) {
+      if (ds > 0 && app.domain != apps::Domain::Embedded) break;
+      Case c{name + "/" + app.datasets[ds].name, &app.module,
+             function_id(app.module, app.entry), app.datasets[ds].args,
+             ds == 0 ? tick_windows() : run_windows()};
+      if (ds == 0) add_budgets(cases, c);
+      else cases.push_back(c);
+    }
+  }
+
+  // The embedded apps rewritten with their custom instructions, run through
+  // the CiRegistry handler.
+  std::deque<jit::SpecializationResult> specialized;
+  for (const apps::App& app : suite) {
+    if (app.domain != apps::Domain::Embedded) continue;
+    Machine profiler(app.module);
+    profiler.run(app.entry, app.datasets[0].args);
+    jit::SpecializerConfig config;
+    config.jobs = 1;
+    const auto& spec = specialized.emplace_back(
+        jit::specialize(app.module, profiler.profile(), config));
+    ASSERT_FALSE(spec.registry.all().empty()) << app.name;
+    Case c{app.name + " rewritten", &spec.rewritten,
+           function_id(spec.rewritten, app.entry), app.datasets[0].args,
+           tick_windows()};
+    c.handler = spec.registry.handler();
+    cases.push_back(c);
+  }
+
+  // Random programs, alternating the two window modes.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    RandomProgramConfig config;
+    config.seed = seed;
+    config.num_functions = 1 + seed % 3;
+    config.blocks_per_function = 6 + seed % 9;
+    config.ops_per_block = 6 + seed % 6;
+    const Module& m = modules.emplace_back(generate_random_program(config));
+    const Case c{"random seed " + std::to_string(seed), &m, function_id(m, "main"),
+                 {Slot::of_int(static_cast<std::int64_t>(seed * 37 % 101) - 20)},
+                 seed % 2 == 0 ? tick_windows() : run_windows()};
+    add_budgets(cases, c);
+  }
+
+  // Every budget of a phi loop, so the budget runs out inside a phi group.
+  const Module& sum = modules.emplace_back(make_sum_module());
+  const Case loop{"sum", &sum, 0, {Slot::of_int(9)}, tick_windows()};
+  const std::uint64_t loop_steps = run_length(loop);
+  for (std::uint64_t budget = 1; budget <= loop_steps; ++budget)
+    add_budget(cases, loop, budget, loop_steps);
+
+  // Traps, at full budget and with budgets that end before the trap.
+  for (auto& [what, module] : trap_modules()) {
+    const Module& m = modules.emplace_back(std::move(module));
+    for (std::uint64_t budget :
+         {std::uint64_t{2}, std::uint64_t{5}, std::uint64_t{1} << 32}) {
+      Case c{what + " budget " + std::to_string(budget), &m,
+             function_id(m, "main"), {}, tick_windows()};
+      if (m.functions[c.fn].params.size() == 1) c.args = {Slot::of_int(0)};
+      c.budget = budget;
+      c.traps = true;
+      cases.push_back(c);
+    }
+  }
+
+  for (const Case& c : cases) EXPECT_EQ(compare(c), "");
 }
 
 }  // namespace
