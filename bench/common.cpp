@@ -9,7 +9,7 @@
 #include <string>
 
 #include "jit/cache_io.hpp"
-#include "support/work_stealing_pool.hpp"
+#include "support/thread_pool.hpp"
 #include "woolcano/asip.hpp"
 
 namespace jitise::bench {
@@ -24,7 +24,7 @@ std::string usage_text(const char* prog) {
           " [--suite-cache-fsync] [--trace] [--help]\n";
   text +=
       "  --jobs N       worker threads, split between the app fan-out and\n"
-      "                 each app's work-stealing pool (0 = hardware\n"
+      "                 each app's CAD thread pool (0 = hardware\n"
       "                 concurrency; JITISE_JOBS is the fallback when the\n"
       "                 flag is absent)\n"
       "  --suite-cache  share one bitstream cache across all apps in the\n"
@@ -236,7 +236,7 @@ std::vector<AppRun> run_apps(const std::vector<std::string>& names,
                              SuiteCacheReport* cache_report) {
   const unsigned total = options.jobs != 0
                              ? options.jobs
-                             : support::WorkStealingPool::default_workers();
+                             : support::ThreadPool::default_workers();
   const unsigned app_jobs = static_cast<unsigned>(
       std::min<std::size_t>(names.size(), total));
 
@@ -309,10 +309,9 @@ std::vector<AppRun> run_apps(const std::vector<std::string>& names,
   per.jobs = std::max(1u, total / app_jobs);
 
   // Each app task blocks only on its own run's private pool, never on this
-  // one, so nesting cannot deadlock. The phase tag is scheduling metadata
-  // only; nothing reads this pool's counters.
+  // one, so nesting cannot deadlock. Nothing reads this pool's counters.
   std::mutex done_mu;
-  support::WorkStealingPool pool(app_jobs);
+  support::ThreadPool pool(app_jobs);
   support::TaskGroup group;
   for (std::size_t i = 0; i < names.size(); ++i) {
     pool.submit(support::Phase::Search, group, [&, i] {

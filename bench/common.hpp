@@ -82,7 +82,7 @@ struct SuiteCacheReport {
 using AppDoneFn = std::function<void(const AppRun& run)>;
 
 /// Runs the complete pipeline for every named application, fanning the apps
-/// out over a work-stealing pool. The one global jobs budget (`options.jobs`,
+/// out over a thread pool. The one global jobs budget (`options.jobs`,
 /// 0 = hardware_concurrency) is split between app-level workers and each
 /// app's per-candidate CAD workers: `app_jobs = min(napps, jobs)` threads each run
 /// whole apps with `max(1, jobs / app_jobs)` CAD jobs. Results come back

@@ -3,11 +3,11 @@
 // the embedded-application suite with seeded arrival jitter and mixed
 // priorities — against one server instance, then prints a per-tenant
 // throughput/latency table (p50/p95/p99 of submission-to-terminal latency)
-// plus the server-level counters (queue high-water, rejections, executor
-// steal/occupancy stats, shared cache/estimate hit rates) and the peak OS
+// plus the server-level counters (queue high-water, rejections, pool task
+// and occupancy stats, shared cache/estimate hit rates) and the peak OS
 // thread count of the whole process (sampled from /proc/self/status), so the
 // shared-pool bounded-threads claim is directly observable. Every session
-// runs on the server's one work-stealing pool of --workers threads;
+// runs on the server's one thread pool of --workers threads;
 // --sessions sets the session concurrency independently of the pool width.
 //
 // The workload is fully deterministic from --seed in *content* (which tenant
@@ -70,7 +70,7 @@ void usage(const char* prog) {
       "          [--journal PATH] [--fsync] [--trace] [--help]\n"
       "  --tenants N     concurrent tenants (default 4)\n"
       "  --requests N    requests per tenant (default 6)\n"
-      "  --workers N     compute threads in the shared work-stealing pool\n"
+      "  --workers N     compute threads in the shared thread pool\n"
       "                  (default 2); bounds the CAD threads\n"
       "  --sessions N    concurrent sessions (default: same as --workers)\n"
       "  --queue-cap N   admission queue capacity (default 16)\n"
@@ -382,10 +382,9 @@ int main(int argc, char** argv) {
       (unsigned long long)stats.cancellations);
   const support::ExecutorStats& ex = stats.executor;
   std::printf(
-      "executor: %u pool workers, steals %llu, tasks search %llu / "
-      "estimate %llu / cad %llu, occupancy high-water %u, peak process "
-      "threads %u\n",
-      ex.workers, (unsigned long long)ex.steals,
+      "executor: %u pool workers, tasks search %llu / estimate %llu / "
+      "cad %llu, occupancy high-water %u, peak process threads %u\n",
+      ex.workers,
       (unsigned long long)ex.tasks_per_phase[std::size_t(
           support::Phase::Search)],
       (unsigned long long)ex.tasks_per_phase[std::size_t(

@@ -3,21 +3,19 @@
 // BM_CandidateSearch isolates Phase 1 — the serial prune -> identify ->
 // estimate -> select loop — and sweeps candidate volume (blocks per
 // function). BM_Specialize runs the full specializer (CAD flow included) on
-// the fft app across jobs. BM_MultiSession is the substrate A/B leg: S
-// concurrent sessions specializing distinct programs either on one shared
-// WorkStealingPool of W workers (pool threads = W) or on S per-session pools
-// of W workers each (threads = S*W, the pre-work-stealing architecture).
+// the fft app across jobs. BM_MultiSession runs S concurrent sessions
+// specializing distinct programs on one shared ThreadPool of W workers, as
+// the specialization server does.
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "apps/app.hpp"
 #include "ir/random_program.hpp"
 #include "jit/pipeline.hpp"
-#include "support/work_stealing_pool.hpp"
+#include "support/thread_pool.hpp"
 #include "vm/interpreter.hpp"
 
 using namespace jitise;
@@ -88,21 +86,17 @@ BENCHMARK(BM_Specialize)
     ->ArgNames({"jobs"})
     ->Unit(benchmark::kMillisecond);
 
-/// Substrate A/B: `sessions` concurrent pipelines over distinct programs.
-/// shared=1 borrows one WorkStealingPool of `workers` threads for all of
-/// them; shared=0 lets every pipeline spin up its own pool of the same
-/// width, so thread count scales with session count (the old architecture).
+/// `sessions` concurrent pipelines over distinct programs, all borrowing
+/// one ThreadPool of `workers` threads.
 void BM_MultiSession(benchmark::State& state) {
   const auto sessions = static_cast<unsigned>(state.range(0));
-  const bool shared = state.range(1) != 0;
   const unsigned workers = 4;
 
   std::vector<ProfiledProgram> programs;
   for (unsigned s = 0; s < sessions; ++s)
     programs.push_back(make_program(8, /*salt=*/s + 1));
 
-  std::optional<support::WorkStealingPool> pool;
-  if (shared) pool.emplace(workers);
+  support::ThreadPool pool(workers);
 
   for (auto _ : state) {
     std::vector<std::thread> coordinators;
@@ -111,23 +105,19 @@ void BM_MultiSession(benchmark::State& state) {
       coordinators.emplace_back([&, s] {
         jit::SpecializerConfig config;
         config.jobs = workers;
-        jit::SpecializationPipeline pipeline(config, nullptr, nullptr,
-                                             shared ? &*pool : nullptr);
+        jit::SpecializationPipeline pipeline(config, nullptr, nullptr, &pool);
         auto result = pipeline.run(programs[s].module, programs[s].profile);
         benchmark::DoNotOptimize(result);
       });
     }
     for (auto& t : coordinators) t.join();
   }
-  if (pool) {
-    const support::ExecutorStats s = pool->stats();
-    state.counters["steals"] = static_cast<double>(s.steals);
-    state.counters["occupancy_hw"] = static_cast<double>(s.occupancy_high_water);
-  }
+  state.counters["occupancy_hw"] =
+      static_cast<double>(pool.stats().occupancy_high_water);
 }
 BENCHMARK(BM_MultiSession)
-    ->ArgsProduct({{2, 4, 8}, {0, 1}})
-    ->ArgNames({"sessions", "shared"})
+    ->ArgsProduct({{2, 4, 8}})
+    ->ArgNames({"sessions"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -51,8 +51,8 @@ int main() {
 
   support::TextTable table({"App", "blk m/p", "ins m/p", "VM[s] m/p",
                             "Nat[s] m/p", "Ratio m/p", "ASIP m/p",
-                            "live%% m/p", "dead%% m/p", "const%% m/p",
-                            "ksize%% m/p", "kfreq%% m/p"});
+                            "live% m/p", "dead% m/p", "const% m/p",
+                            "ksize% m/p", "kfreq% m/p"});
 
   std::vector<Row> rows;
   std::vector<apps::PaperStats> papers;

@@ -12,7 +12,7 @@
 #include "common.hpp"
 #include "support/duration.hpp"
 #include "support/table.hpp"
-#include "support/work_stealing_pool.hpp"
+#include "support/thread_pool.hpp"
 
 using namespace jitise;
 
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
               "===\n\n");
   std::fprintf(stderr, "  [table2] jobs: %u\n",
                options.jobs ? options.jobs
-                            : support::WorkStealingPool::default_workers());
+                            : support::ThreadPool::default_workers());
 
   support::TextTable table({"App", "real[ms] m/p", "blk m/p", "ins m/p",
                             "can m/p", "ratio m/p", "const m/p", "map m/p",

@@ -8,7 +8,7 @@
 #include "common.hpp"
 #include "support/statistics.hpp"
 #include "support/table.hpp"
-#include "support/work_stealing_pool.hpp"
+#include "support/thread_pool.hpp"
 
 using namespace jitise;
 
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
               "(measured vs. paper) ===\n\n");
   std::fprintf(stderr, "  [table3] jobs: %u\n",
                options.jobs ? options.jobs
-                            : support::WorkStealingPool::default_workers());
+                            : support::ThreadPool::default_workers());
 
   support::RunningStats c2v, syn, xst, tra, bitgen, map_s, par_s, total;
 

@@ -83,7 +83,7 @@ SpecializationResult AdaptationStage::run(
         cad::ImplementationResult hw;
         const ImplementationArtifact* pre =
             lookup ? lookup(impl.signature) : nullptr;
-        if (pre != nullptr && pre->dispatched) {
+        if (pre != nullptr) {
           if (pre->failed) {
             // Oversized or unroutable candidate: the tool flow rejects it
             // and the specializer simply drops it (it stays in software).

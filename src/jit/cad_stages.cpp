@@ -25,7 +25,6 @@ ImplementationArtifact ImplementationStage::run(
   // no partial implementation ever reaches the shared cache.
   config_.cancel.check();
   ImplementationArtifact art;
-  art.dispatched = true;
   try {
     art.hw = cad::implement_candidate(netlist.project, config_.flow);
   } catch (const fpga::CadError&) {

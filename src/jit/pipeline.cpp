@@ -1,25 +1,28 @@
 // SpecializationPipeline — composes the four ASIP-SP stages and submits the
-// per-candidate CAD fan-out as `Phase::Cad` tasks on the executor.
+// per-candidate CAD fan-out as `Phase::Cad` tasks on the thread pool.
 //
 // Concurrency model: the stages run in sequence. Candidate search runs
 // serially on the pipeline thread. Once it has produced the final
-// selection, the pipeline thread dispatches one CAD task per selected
-// signature that is not already cache-resident; each task writes its result
-// into a pre-created slot with a stable address. Dispatch (slot creation,
-// dedup, cache probing) happens only on the pipeline thread; workers write
-// only into their own slot.
+// selection, the pipeline thread collects the sweep — one entry per
+// selected signature that is not already cache-resident — orders it by
+// estimated area, largest first, and submits it in that order; each task
+// writes its result into a pre-created slot with a stable address. The pool
+// starts tasks in submission order, so the longest CAD chains start first
+// and the short ones fill in behind them. Dispatch (slot creation, dedup,
+// cache probing, ordering) happens only on the pipeline thread; workers
+// write only into their own slot.
 //
-// The executor is borrowed when the caller owns a long-lived one (the
-// server's shared pool); a direct call with a parallel config gets a
-// private pool for the CAD sweep.
+// The pool is borrowed when the caller owns a long-lived one (the server's
+// shared pool); a direct call with a parallel config gets a private pool
+// for the CAD sweep.
 #include "jit/pipeline.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <optional>
 #include <unordered_map>
 
 #include "support/stopwatch.hpp"
-#include "support/work_stealing_pool.hpp"
 
 namespace jitise::jit {
 
@@ -40,18 +43,18 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   hwlib::CircuitDb db;
   PipelineObserver& obs = observers_;
 
-  // `jobs = 1` forces serial execution. Otherwise a borrowed executor is
-  // used whatever its width; without one, `jobs` (0 = hardware concurrency)
+  // `jobs = 1` forces serial execution. Otherwise a borrowed pool is used
+  // whatever its width; without one, `jobs` (0 = hardware concurrency)
   // sizes a run-scoped private pool when it exceeds one.
   const unsigned jobs = config_.jobs != 0
                             ? config_.jobs
-                            : support::WorkStealingPool::default_workers();
-  const bool parallel = executor_ != nullptr ? config_.jobs != 1 : jobs > 1;
+                            : support::ThreadPool::default_workers();
+  const bool parallel = pool_ != nullptr ? config_.jobs != 1 : jobs > 1;
 
   // Lifetime choreography, outermost first: CAD tasks reference the
   // artifact, the names and the slots, so all must outlive every task.
   // `cad_group`'s destructor waits for this run's CAD tasks (the unwind
-  // guarantee when the executor is borrowed and lives on); a private pool is
+  // guarantee when the pool is borrowed and lives on); a private pool is
   // declared last, so its draining destructor runs while everything tasks
   // touch is still alive.
   SearchArtifact art = search_.run(module, profile, db, obs, estimates_);
@@ -61,11 +64,14 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   std::deque<ImplementationArtifact> slots;
   std::unordered_map<std::uint64_t, ImplementationArtifact*> by_sig;
   support::TaskGroup cad_group;
-  std::optional<support::WorkStealingPool> owned;
+  std::optional<support::ThreadPool> owned;
 
+  // The scored candidate at selection position `k`.
+  const auto chosen = [&](std::size_t k) -> const ise::ScoredCandidate& {
+    return art.scored[art.selection.chosen[k]];
+  };
   for (std::size_t k = 0; k < names.size(); ++k)
-    names[k] = candidate_name(
-        module, art.scored[art.selection.chosen[k]].candidate, k);
+    names[k] = candidate_name(module, chosen(k).candidate, k);
 
   // The Phase 2+3 chain for selection position `k`. Captures by reference
   // only state declared before `cad_group`, so tasks may hold a copy.
@@ -83,22 +89,34 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
     config_.cancel.check();
     obs.on_phase_enter(PipelinePhase::Implementation);
     const support::Stopwatch impl_timer;
-    support::Executor* exec = executor_;
-    if (exec == nullptr && parallel) {
+    support::ThreadPool* pool = pool_;
+    if (pool == nullptr && parallel) {
       owned.emplace(jobs);
-      exec = &*owned;
+      pool = &*owned;
     }
-    // One CAD run per selected signature that is neither cache-resident nor
-    // already dispatched by this sweep; inline with a serial config (jobs=1).
+    // The sweep: the first selection position of each selected signature
+    // that is not cache-resident, one CAD run each.
+    std::vector<std::size_t> sweep;
     for (std::size_t k = 0; k < names.size(); ++k) {
-      const std::uint64_t sig = art.scored[art.selection.chosen[k]].signature;
+      const std::uint64_t sig = chosen(k).signature;
       if (by_sig.count(sig) != 0) continue;
       if (cache_ != nullptr && cache_->contains(sig)) continue;
-      ImplementationArtifact* slot = &slots.emplace_back();
-      by_sig.emplace(sig, slot);
+      by_sig.emplace(sig, &slots.emplace_back());
+      sweep.push_back(k);
+    }
+    // Largest estimated area first: CAD time grows with design size, and a
+    // large design that starts last holds up the whole sweep. Ties keep
+    // selection order. Inline, in the same order, with a serial config.
+    std::stable_sort(sweep.begin(), sweep.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return chosen(a).area_slices > chosen(b).area_slices;
+                     });
+    for (const std::size_t k : sweep) {
+      const std::uint64_t sig = chosen(k).signature;
+      ImplementationArtifact* slot = by_sig.at(sig);
       obs.on_candidate_dispatched(sig, /*speculative=*/false);
       if (parallel)
-        exec->submit(support::Phase::Cad, cad_group,
+        pool->submit(support::Phase::Cad, cad_group,
                      [implement, k, slot] { *slot = implement(k); });
       else
         *slot = implement(k);

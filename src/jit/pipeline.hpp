@@ -15,10 +15,10 @@
 //
 // SpecializationPipeline composes them in sequence, as in the paper's
 // Fig. 2. Candidate search runs serially on the calling thread; CAD is
-// dispatched only for the final selection, and its per-candidate chains are
-// the pipeline's one fan-out: `Phase::Cad` tasks on one support::Executor —
-// either a borrowed, long-lived executor (the server's shared
-// WorkStealingPool, so many sessions share one bounded worker set) or a
+// dispatched only for the final selection, largest estimated design first,
+// and its per-candidate chains are the pipeline's one fan-out: `Phase::Cad`
+// tasks on one support::ThreadPool — either a borrowed, long-lived pool
+// (the server's, so many sessions share one bounded worker set) or a
 // pipeline-private pool for direct `specialize()` calls. Results stay
 // bit-identical to the serial run because CAD results are keyed by
 // candidate signature (all jitter is signature-seeded) and everything
@@ -35,7 +35,7 @@
 #include "datapath/project.hpp"
 #include "jit/observer.hpp"
 #include "jit/specializer.hpp"
-#include "support/executor.hpp"
+#include "support/thread_pool.hpp"
 
 namespace jitise::jit {
 
@@ -89,8 +89,7 @@ class NetlistGenStage {
 
 /// Phase-3 output for one candidate.
 struct ImplementationArtifact {
-  bool dispatched = false;  // a CAD run produced (or rejected) this artifact
-  bool failed = false;      // the tool flow rejected the candidate (fit/route)
+  bool failed = false;  // the tool flow rejected the candidate (fit/route)
   cad::ImplementationResult hw;
 };
 
@@ -139,20 +138,20 @@ class AdaptationStage {
 
 class SpecializationPipeline {
  public:
-  /// `cache`, `estimates` and `executor` are borrowed, may be shared across
+  /// `cache`, `estimates` and `pool` are borrowed, may be shared across
   /// concurrent pipelines (all are internally synchronized), and may be
-  /// null. With a null `executor` and more than one resolved `jobs`, run()
-  /// spins up a private WorkStealingPool for its CAD sweep; with a non-null
-  /// one (the server's shared pool), this pipeline submits its `Phase::Cad`
+  /// null. With a null `pool` and more than one resolved `jobs`, run()
+  /// spins up a private ThreadPool for its CAD sweep; with a non-null one
+  /// (the server's shared pool), this pipeline submits its `Phase::Cad`
   /// tasks there unless `jobs = 1`, and owns no threads at all.
   explicit SpecializationPipeline(const SpecializerConfig& config,
                                   BitstreamCache* cache = nullptr,
                                   estimation::EstimateCache* estimates = nullptr,
-                                  support::Executor* executor = nullptr)
+                                  support::ThreadPool* pool = nullptr)
       : config_(config),
         cache_(cache),
         estimates_(estimates),
-        executor_(executor),
+        pool_(pool),
         search_(config_),
         implement_(config_),
         adapt_(config_, cache_) {}
@@ -167,7 +166,7 @@ class SpecializationPipeline {
   SpecializerConfig config_;
   BitstreamCache* cache_;
   estimation::EstimateCache* estimates_ = nullptr;
-  support::Executor* executor_ = nullptr;
+  support::ThreadPool* pool_ = nullptr;
   CandidateSearchStage search_;
   NetlistGenStage netlist_;
   ImplementationStage implement_;

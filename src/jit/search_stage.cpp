@@ -5,7 +5,7 @@
 // selection then runs once, over the full candidate pool, after the last
 // block. The pipeline dispatches CAD only for that final selection. Search
 // takes a fraction of a millisecond to a few milliseconds per request, so a
-// per-block fan-out onto the executor lost more to task hand-off than it won
+// per-block fan-out onto the thread pool lost more to task hand-off than it won
 // (DESIGN §6a).
 #include "jit/pipeline.hpp"
 

@@ -44,16 +44,16 @@ struct SpecializerConfig {
   bool implement_hardware = true;
   /// Parallelism of the CAD sweep. Candidate search always runs serially
   /// on the calling thread; the per-candidate CAD chains of the final
-  /// selection run as `Phase::Cad` tasks on one support::Executor. 0 means
-  /// hardware_concurrency, 1 runs strictly serially. When the caller lends
-  /// a long-lived executor (the specialization server's shared
-  /// WorkStealingPool), every value but 1 runs on it and the executor's
-  /// width decides the real parallelism; a direct call gets a private pool
-  /// of `jobs` workers for the CAD sweep when that is more than one. Any
-  /// value produces a bit-identical SpecializationResult: CAD jitter is
-  /// seeded per candidate signature, and all bookkeeping (cycle accounting,
-  /// registry insertion, `implemented` order, cache population) stays in a
-  /// serial tail.
+  /// selection run as `Phase::Cad` tasks on one support::ThreadPool,
+  /// submitted largest estimated area first. 0 means hardware_concurrency,
+  /// 1 runs strictly serially (in the same largest-first order). When the
+  /// caller lends a long-lived pool (the specialization server's shared
+  /// one), every value but 1 runs on it and the pool's width decides the
+  /// real parallelism; a direct call gets a private pool of `jobs` workers
+  /// for the CAD sweep when that is more than one. Any value produces a
+  /// bit-identical SpecializationResult: CAD jitter is seeded per candidate
+  /// signature, and all bookkeeping (cycle accounting, registry insertion,
+  /// `implemented` order, cache population) stays in a serial tail.
   unsigned jobs = 0;
   /// Emit a one-line per-candidate CAD timing trace to stderr (real ms per
   /// stage plus the worker thread id) so the parallel speedup is observable.

@@ -15,7 +15,7 @@
 //                       against the ONE shared BitstreamCache +
 //                       EstimateCache, submitting each selected candidate's
 //                       CAD chain as a `Phase::Cad` task to the ONE shared
-//                       WorkStealingPool of `workers` threads
+//                       ThreadPool of `workers` threads
 //
 // Request coalescing (the serving stack's first memoization tier, ahead of
 // EstimateCache → shared BitstreamCache → journal warm-start): a submission
@@ -38,10 +38,11 @@
 // (`max_sessions` coordinator threads), compute width is a *thread-count*
 // property (`workers` pool threads) — and the two no longer multiply. A
 // session searches candidates on its own coordinator thread (milliseconds);
-// every session's CAD tasks land in the one work-stealing pool, so CAD
-// threads are bounded by `workers` no matter how many tenants or sessions
-// are in flight, and an idle worker steals whichever session's CAD work is
-// backed up.
+// every session's CAD tasks land in the one pool's FIFO queue (each
+// session's sweep largest design first), so CAD threads are bounded by
+// `workers` no matter how many tenants or sessions are in flight, and the
+// next free worker takes the oldest queued CAD task, whichever session
+// submitted it.
 //
 // Cancellation/deadlines are cooperative: the pipeline polls the request's
 // token at stage boundaries only — never inside a cache or journal mutation
@@ -69,14 +70,13 @@
 #include "jit/specializer.hpp"
 #include "server/observer.hpp"
 #include "server/request.hpp"
-#include "support/executor.hpp"
 #include "support/statistics.hpp"
-#include "support/work_stealing_pool.hpp"
+#include "support/thread_pool.hpp"
 
 namespace jitise::server {
 
 struct ServerConfig {
-  /// Compute threads in the ONE shared work-stealing pool every session's
+  /// Compute threads in the ONE shared thread pool every session's
   /// CAD tasks run on (0 clamps to 1). This — not the session count —
   /// bounds the server's CAD threads.
   unsigned workers = 2;
@@ -150,9 +150,8 @@ struct ServerStats {
   std::uint64_t admission_rejections = 0;
   std::uint64_t cancellations = 0;  // terminal Cancelled
   std::uint64_t expiries = 0;       // terminal Expired
-  /// Shared-pool counters: executed tasks per phase, cross-worker steals,
-  /// and the worker-occupancy high-water mark — the observability the
-  /// anytime-selection work needs.
+  /// Shared-pool counters: executed tasks per phase and the
+  /// worker-occupancy high-water mark (`steals` always reads 0).
   support::ExecutorStats executor;
   // Coalescing tier: followers registered at admission, followers resolved
   // Done from a leader's result, followers promoted into fresh runs after
@@ -309,7 +308,7 @@ class SpecializationServer {
   std::optional<adaptive::RespecializationPolicy> policy_;
   std::optional<jit::CacheJournal> journal_;
   /// The one compute substrate all sessions share.
-  support::WorkStealingPool pool_;
+  support::ThreadPool pool_;
   ServerObserverList observers_;
 
   mutable std::mutex mu_;  // scheduler state below

@@ -3,6 +3,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -424,6 +425,49 @@ TEST(Pipeline, ParallelRunIsStaged) {
   EXPECT_LT(exit_search, enter_impl);
   EXPECT_GE(rec.count_of("dispatch"), 1u);
   EXPECT_EQ(rec.count_of("dispatch:spec"), 0u);
+}
+
+TEST(Pipeline, DispatchesLargestEstimatedAreaFirst) {
+  // The CAD sweep is dispatched largest estimated design first, so a large
+  // design never starts after the small ones of its sweep. whetstone's
+  // largest design (2,770 slices) comes last in selection order.
+  const apps::App app = apps::build_app("whetstone");
+  vm::Machine machine(app.module);
+  machine.run(app.entry, app.datasets[0].args, 1ull << 30);
+  const vm::Profile profile = machine.profile();
+
+  jit::SpecializerConfig config;
+  hwlib::CircuitDb db;
+  jit::PipelineObserver quiet;
+  const jit::SearchArtifact art =
+      jit::CandidateSearchStage(config).run(app.module, profile, db, quiet);
+  std::unordered_map<std::uint64_t, double> area;
+  for (const std::size_t idx : art.selection.chosen)
+    area.emplace(art.scored[idx].signature, art.scored[idx].area_slices);
+
+  // Dispatch events fire on the pipeline thread, so no lock is needed.
+  struct DispatchLog final : jit::PipelineObserver {
+    std::vector<std::uint64_t> signatures;
+    void on_candidate_dispatched(std::uint64_t sig, bool) override {
+      signatures.push_back(sig);
+    }
+  };
+  for (const unsigned jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    config.jobs = jobs;
+    DispatchLog log;
+    jit::SpecializationPipeline pipeline(config);
+    pipeline.add_observer(&log);
+    static_cast<void>(pipeline.run(app.module, profile));
+    ASSERT_GE(log.signatures.size(), 2u);
+    for (std::size_t i = 0; i < log.signatures.size(); ++i) {
+      ASSERT_EQ(area.count(log.signatures[i]), 1u) << "dispatch " << i;
+      if (i > 0) {
+        EXPECT_GE(area.at(log.signatures[i - 1]), area.at(log.signatures[i]))
+            << "dispatch " << i;
+      }
+    }
+  }
 }
 
 TEST(Pipeline, WarmRespecializationRunsNoCad) {

@@ -1,18 +1,18 @@
-// Scheduler stress suite for support::WorkStealingPool and TaskGroup — the
-// execution substrate every pipeline phase now runs on.
+// Scheduler stress suite for support::ThreadPool and TaskGroup — the
+// execution substrate the CAD sweep and the bench drivers run on.
 //
 // Three layers of coverage:
-//   * unit contracts: every submitted task runs exactly once, LIFO-local /
-//     FIFO-steal mechanics actually steal across workers, phase counters and
-//     occupancy stats are wired, the default width is at least one worker,
-//     the destructor drains, and TaskGroup keeps its error contract
-//     (lowest-task-id rethrow, batch reset, draining destructor);
+//   * unit contracts: every submitted task runs exactly once, tasks start in
+//     submission order, a task's nested submission runs on an idle worker,
+//     phase counters and occupancy stats are wired, the default width is at
+//     least one worker, the destructor drains, and TaskGroup keeps its error
+//     contract (lowest-task-id rethrow, batch reset, draining destructor);
 //   * randomized stress: N concurrent sessions each submit a seeded
 //     Search→Estimate→Cad task graph into ONE shared pool; per-session
 //     checksums must be bit-identical to a serial evaluation of the same
 //     graph, with no lost or duplicated tasks even when sessions cancel
 //     mid-flight (tasks already queued still run exactly once — the same
-//     guarantee the server relies on when a deadline expires mid-steal);
+//     guarantee the server relies on when a deadline expires mid-sweep);
 //   * real-pipeline differential: two concurrent specialization pipelines
 //     borrowing one shared pool produce results bit-identical to serial
 //     jit::specialize, for whatever worker count JITISE_JOBS dictates.
@@ -32,8 +32,7 @@
 #include "apps/app.hpp"
 #include "jit/pipeline.hpp"
 #include "jit/specializer.hpp"
-#include "support/executor.hpp"
-#include "support/work_stealing_pool.hpp"
+#include "support/thread_pool.hpp"
 #include "vm/interpreter.hpp"
 
 namespace {
@@ -41,7 +40,7 @@ namespace {
 using namespace jitise;
 using support::Phase;
 using support::TaskGroup;
-using support::WorkStealingPool;
+using support::ThreadPool;
 
 /// splitmix64 — the deterministic "work" every synthetic task performs.
 std::uint64_t mix(std::uint64_t x) {
@@ -51,9 +50,9 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
+TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
   constexpr std::size_t kTasks = 500;
-  WorkStealingPool pool(4);
+  ThreadPool pool(4);
   EXPECT_EQ(pool.workers(), 4u);
   std::vector<std::atomic<int>> runs(kTasks);
   TaskGroup group;
@@ -73,14 +72,37 @@ TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
   EXPECT_GE(stats.occupancy_high_water, 1u);
 }
 
-// Deterministic steal: worker A runs a parent task that nested-submits a
-// child (pushed onto A's OWN deque — the LIFO fast path) and then spins
-// until the child has run. A is occupied, so the only way the child can run
-// is the other worker stealing it from A's deque (FIFO end). This is the one
-// place a task may block on another task: the test guarantees an idle worker
-// exists, which general pipeline code cannot.
-TEST(WorkStealingPool, NestedSubmitIsStolenByIdleWorker) {
-  WorkStealingPool pool(2);
+// One worker, held inside the first task until every task is queued: the
+// rest must then start in the order they were submitted (the pipeline's
+// largest-first CAD dispatch relies on it).
+TEST(ThreadPool, StartsTasksInSubmissionOrder) {
+  constexpr int kTasks = 16;
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  std::vector<int> order;  // written only by the one worker
+  TaskGroup group;
+  for (int k = 0; k < kTasks; ++k) {
+    pool.submit(Phase::Cad, group, [&, k] {
+      if (k == 0)
+        while (!release) std::this_thread::yield();
+      order.push_back(k);
+    });
+  }
+  release = true;
+  group.wait();
+
+  std::vector<int> expected(kTasks);
+  for (int k = 0; k < kTasks; ++k) expected[k] = k;
+  EXPECT_EQ(order, expected);
+}
+
+// Worker A runs a parent task that nested-submits a child (queued at the
+// back) and then spins until the child has run. A is occupied, so the child
+// can only run on the other worker. This is the one place a task may block
+// on another task: the test guarantees an idle worker exists, which general
+// pipeline code cannot.
+TEST(ThreadPool, NestedSubmitRunsOnIdleWorker) {
+  ThreadPool pool(2);
 
   std::atomic<bool> child_ran{false};
   TaskGroup group;
@@ -92,7 +114,6 @@ TEST(WorkStealingPool, NestedSubmitIsStolenByIdleWorker) {
 
   EXPECT_TRUE(child_ran);
   const support::ExecutorStats stats = pool.stats();
-  EXPECT_GE(stats.steals, 1u);  // the child crossed workers
   EXPECT_EQ(stats.total_tasks(), 2u);
   EXPECT_EQ(stats.tasks_per_phase[static_cast<std::size_t>(Phase::Search)], 1u);
   EXPECT_EQ(stats.tasks_per_phase[static_cast<std::size_t>(Phase::Estimate)],
@@ -100,10 +121,10 @@ TEST(WorkStealingPool, NestedSubmitIsStolenByIdleWorker) {
   EXPECT_GE(stats.occupancy_high_water, 2u);  // both workers ran at once
 }
 
-TEST(WorkStealingPool, DestructorDrainsQueuedTasksWithoutWait) {
+TEST(ThreadPool, DestructorDrainsQueuedTasksWithoutWait) {
   std::atomic<int> ran{0};
   {
-    WorkStealingPool pool(1);  // single worker: tasks 1..31 queued behind 0
+    ThreadPool pool(1);  // single worker: tasks 1..31 queued behind 0
     TaskGroup group;
     for (int k = 0; k < 32; ++k) {
       pool.submit(Phase::Cad, group, [&ran, k] {
@@ -117,14 +138,14 @@ TEST(WorkStealingPool, DestructorDrainsQueuedTasksWithoutWait) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(WorkStealingPool, DefaultWorkersIsAtLeastOne) {
-  EXPECT_GE(WorkStealingPool::default_workers(), 1u);
-  WorkStealingPool pool;  // 0 workers means default_workers()
-  EXPECT_EQ(pool.workers(), WorkStealingPool::default_workers());
+TEST(ThreadPool, DefaultWorkersIsAtLeastOne) {
+  EXPECT_GE(ThreadPool::default_workers(), 1u);
+  ThreadPool pool;  // 0 workers means default_workers()
+  EXPECT_EQ(pool.workers(), ThreadPool::default_workers());
 }
 
 TEST(TaskGroup, RethrowsLowestTaskIdAcrossWorkers) {
-  WorkStealingPool pool(8);
+  ThreadPool pool(8);
   TaskGroup group;
   std::atomic<int> ran{0};
   for (int k = 0; k < 100; ++k) {
@@ -144,7 +165,7 @@ TEST(TaskGroup, RethrowsLowestTaskIdAcrossWorkers) {
 }
 
 TEST(TaskGroup, ResetsBetweenBatches) {
-  WorkStealingPool pool(3);
+  ThreadPool pool(3);
   TaskGroup group;
   for (int round = 0; round < 3; ++round) {
     std::atomic<int> sum{0};
@@ -156,7 +177,7 @@ TEST(TaskGroup, ResetsBetweenBatches) {
 }
 
 TEST(TaskGroup, DestructorWaitsForOutstandingTasksAndSwallowsErrors) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   std::atomic<int> ran{0};
   {
     TaskGroup group;
@@ -190,7 +211,7 @@ struct SessionResult {
 /// cancelled pipeline block does. The decision is per-index so the outcome
 /// stays schedule-independent; the atomic models the signal itself and the
 /// run-count assertions below are what cancellation must not break.
-SessionResult run_session_graph(support::Executor* executor,
+SessionResult run_session_graph(ThreadPool* pool,
                                 std::uint64_t seed, std::size_t roots,
                                 std::size_t cancel_at,
                                 std::atomic<std::uint64_t>* executions) {
@@ -202,16 +223,16 @@ SessionResult run_session_graph(support::Executor* executor,
   {
     TaskGroup group;
     for (std::size_t i = 0; i < roots; ++i) {
-      executor->submit(Phase::Search, group, [&, i] {
+      pool->submit(Phase::Search, group, [&, i] {
         ++per_task_runs[i * 3];
         if (executions) ++*executions;
         if (i >= cancel_at) cancelled = true;
         const std::uint64_t h1 = i > cancel_at ? 0xDEADull : mix(seed ^ i);
-        executor->submit(Phase::Estimate, group, [&, i, h1] {
+        pool->submit(Phase::Estimate, group, [&, i, h1] {
           ++per_task_runs[i * 3 + 1];
           if (executions) ++*executions;
           const std::uint64_t h2 = mix(h1 + 1);
-          executor->submit(Phase::Cad, group, [&, i, h2] {
+          pool->submit(Phase::Cad, group, [&, i, h2] {
             ++per_task_runs[i * 3 + 2];
             if (executions) ++*executions;
             slots[i] = mix(h2 + 2);
@@ -229,7 +250,7 @@ SessionResult run_session_graph(support::Executor* executor,
   return out;
 }
 
-/// Serial oracle for the same graph (no executor, no threads).
+/// Serial oracle for the same graph (no pool, no threads).
 std::uint64_t serial_graph_checksum(std::uint64_t seed, std::size_t roots,
                                     std::size_t cancel_at) {
   std::uint64_t checksum = 0;
@@ -242,9 +263,9 @@ std::uint64_t serial_graph_checksum(std::uint64_t seed, std::size_t roots,
   return checksum;
 }
 
-// The tentpole's core claim, stress-tested: many sessions sharing ONE pool,
-// stealing across phases and sessions, and every session's positional
-// reduction still matches its serial oracle bit for bit — including
+// Many sessions sharing ONE pool, their tasks interleaved across phases and
+// sessions, and every session's positional reduction still matches its
+// serial oracle bit for bit — including
 // sessions that cancel mid-graph. The global execution counter proves the
 // pool neither lost nor invented tasks across the whole run.
 TEST(SchedulerStress, SeededSessionGraphsMatchSerialUnderSharedPool) {
@@ -253,7 +274,7 @@ TEST(SchedulerStress, SeededSessionGraphsMatchSerialUnderSharedPool) {
   constexpr int kRounds = 5;
 
   for (int round = 0; round < kRounds; ++round) {
-    WorkStealingPool pool(4);
+    ThreadPool pool(4);
     std::atomic<std::uint64_t> executions{0};
     std::vector<SessionResult> results(kSessions);
     std::vector<std::thread> coordinators;
@@ -335,7 +356,7 @@ TEST(SchedulerStress, ConcurrentPipelinesOnSharedPoolMatchSerial) {
     serial.push_back(jit::specialize(p.app->module, p.profile, config));
   }
 
-  WorkStealingPool pool(jobs);
+  ThreadPool pool(jobs);
   std::vector<jit::SpecializationResult> shared(apps_v.size());
   std::vector<std::thread> coordinators;
   for (std::size_t i = 0; i < apps_v.size(); ++i) {
