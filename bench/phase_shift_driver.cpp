@@ -49,6 +49,8 @@ struct LegResult {
   std::vector<EpochRow> rows;
   PolicyTotals totals;
   server::ServerStats stats;
+  /// Installed slots the drift leg's Respecialize decisions replaced.
+  std::uint64_t stale_slots = 0;
 };
 
 enum class Policy { Never, Always, Drift };
@@ -217,6 +219,7 @@ LegResult run_leg(Policy policy, const PhaseShiftOptions& opt,
             case adaptive::DriftAction::Respecialize:
               row.event = "respec";
               respec = true;
+              leg.stale_slots += obs.decision.stale.size();
               if (obs.ticket) install_from(obs.ticket->wait());
               break;
           }
@@ -330,7 +333,7 @@ PhaseShiftReport run_phase_shift(const PhaseShiftOptions& opt) {
       static_cast<unsigned long long>(ds.windows_observed),
       static_cast<unsigned long long>(ds.phase_changes),
       static_cast<unsigned long long>(ds.drift_keeps),
-      static_cast<unsigned long long>(ds.drift_evictions));
+      static_cast<unsigned long long>(drift.stale_slots));
   text += support::strf(
       "drift-triggered re-specializations: %llu\n",
       static_cast<unsigned long long>(ds.drift_respecializations));

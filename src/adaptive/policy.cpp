@@ -61,9 +61,9 @@ RespecializationPolicy::RespecializationPolicy(
 void RespecializationPolicy::install(const std::string& stream,
                                      const jit::SpecializationResult& result) {
   std::vector<std::uint64_t> sigs;
-  sigs.reserve(result.implemented.size());
+  std::unordered_set<std::uint64_t> seen;
   for (const jit::ImplementedCandidate& impl : result.implemented)
-    sigs.push_back(impl.signature);
+    if (seen.insert(impl.signature).second) sigs.push_back(impl.signature);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(stream);
   if (it == streams_.end()) {

@@ -7,8 +7,9 @@
 // saving, the change is absorbed (Keep); when it does not, and the modeled
 // re-specialization cost is repaid within the configured horizon of windows
 // (jit::executions_to_break_even), the policy orders a re-specialization:
-// the server evicts the stale BitstreamCache slots and re-submits through
-// the normal admission queue with a Trigger::Drift tag.
+// the server re-submits through the normal admission queue with a
+// Trigger::Drift tag. Stale slots leave only the stream's installed set; the
+// shared BitstreamCache keeps their bitstreams for a returning phase.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +78,7 @@ struct RespecializationConfig {
 enum class DriftAction : std::uint8_t {
   None,          // no confirmed phase change at this window
   Keep,          // confirmed change, installed set still earns its slots
-  Respecialize,  // confirmed change, evict stale slots and resubmit
+  Respecialize,  // confirmed change, resubmit to replace stale slots
 };
 
 [[nodiscard]] const char* drift_action_name(DriftAction action) noexcept;
@@ -95,7 +96,8 @@ struct DriftDecision {
   /// Windows of the new phase needed to repay respec_cost_cycles (0 when no
   /// cost is charged or the action is not Respecialize).
   std::uint64_t break_even_windows = 0;
-  /// Installed signatures the fresh selection drops — the slots to evict.
+  /// Installed signatures the fresh selection drops — the slots the drift
+  /// request replaces (each listed once).
   std::vector<std::uint64_t> stale;
   /// One-line human-readable rationale (trace/table output).
   std::string reason;
@@ -113,7 +115,8 @@ class RespecializationPolicy {
 
   /// Records the signatures a completed specialization installed for
   /// `stream` (called when a request — client- or drift-triggered —
-  /// resolves Done).
+  /// resolves Done). One slot per distinct signature, in first-occurrence
+  /// order: a datapath selected in two blocks is installed once.
   void install(const std::string& stream,
                const jit::SpecializationResult& result);
 

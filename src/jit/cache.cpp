@@ -105,22 +105,6 @@ bool BitstreamCache::erase(std::uint64_t signature) {
   return true;
 }
 
-bool BitstreamCache::evict(std::uint64_t signature) {
-  Stripe& s = stripe_of(signature);
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.map.find(signature);
-  if (it == s.map.end()) return false;
-  if (journal_) journal_->record_evict(signature);
-  const std::size_t size = it->second->entry.bitstream.size_bytes();
-  s.bytes -= size;
-  bytes_.fetch_sub(size, std::memory_order_relaxed);
-  entries_.fetch_sub(1, std::memory_order_relaxed);
-  s.lru.erase(it->second);
-  s.map.erase(it);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 void BitstreamCache::clear() {
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(stripes_.size());

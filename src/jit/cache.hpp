@@ -35,12 +35,12 @@ class BitstreamCache;
 
 /// Persistence hook: mirrors every cache mutation into a durable store (the
 /// append-only journal in jit/cache_io.*). The cache invokes the sink while
-/// holding at least the mutated stripe's lock — `record_insert` and
-/// single-entry `evict()` hold that stripe's lock, capacity eviction holds
-/// all stripe locks — so per-signature journal order always matches cache
-/// order; implementations must therefore only buffer (never call back into
-/// the cache) from the record hooks. `sync()`/`maybe_compact()` are called
-/// with no cache locks held.
+/// holding at least the mutated stripe's lock — `record_insert` holds that
+/// stripe's lock, capacity eviction holds all stripe locks — so
+/// per-signature journal order always matches cache order; implementations
+/// must therefore only buffer (never call back into the cache) from the
+/// record hooks. `sync()`/`maybe_compact()` are called with no cache locks
+/// held.
 class CacheJournalSink {
  public:
   virtual ~CacheJournalSink() = default;
@@ -48,8 +48,7 @@ class CacheJournalSink {
   /// An entry was inserted or replaced (stripe lock of `signature` held).
   virtual void record_insert(std::uint64_t signature,
                              const CachedImplementation& entry) = 0;
-  /// An entry was evicted — to capacity (all stripe locks held) or by
-  /// policy via `evict()` (that signature's stripe lock held).
+  /// An entry was evicted to capacity (all stripe locks held).
   virtual void record_evict(std::uint64_t signature) = 0;
   /// Flushes buffered records to durable storage; returns how many records
   /// were flushed. Never called under cache locks.
@@ -111,13 +110,6 @@ class BitstreamCache {
   /// must not re-journal the records it is applying. Returns whether the
   /// signature was present.
   bool erase(std::uint64_t signature);
-
-  /// Policy eviction of one entry (the adaptive re-specialization loop
-  /// dropping a stale slot): like erase(), but journaled (`record_evict`
-  /// under the stripe lock) and counted in `evictions()`, so the persisted
-  /// cache state and the stats agree with capacity eviction. Returns whether
-  /// the signature was present.
-  bool evict(std::uint64_t signature);
 
   /// Attaches (or detaches, with nullptr) the persistence sink. Not owned;
   /// must outlive the cache or be detached first. Attach before the cache is

@@ -56,24 +56,25 @@ void ServerTraceObserver::on_phase_change(const std::string& stream,
 
 void ServerTraceObserver::on_drift(const std::string& stream,
                                    const adaptive::DriftDecision& decision,
-                                   std::uint64_t request_id,
-                                   std::size_t evicted) {
+                                   std::uint64_t request_id) {
   std::lock_guard<std::mutex> lock(mu_);
   std::fprintf(sink_,
-               "[server] drift   %s %s retention=%.0f%% evicted=%zu"
+               "[server] drift   %s %s retention=%.0f%% stale=%zu"
                " resubmit=#%llu — %s\n",
                stream.c_str(), adaptive::drift_action_name(decision.action),
-               100.0 * decision.retention, evicted,
+               100.0 * decision.retention, decision.stale.size(),
                static_cast<unsigned long long>(request_id),
                decision.reason.c_str());
 }
 
 void ServerTraceObserver::on_finished(const RequestOutcome& outcome) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::fprintf(sink_, "[server] %-7s #%llu tenant=%s total=%.2fms%s%s\n",
+  std::fprintf(sink_,
+               "[server] %-7s #%llu tenant=%s total=%.2fms cad=%zu%s%s\n",
                state_name(outcome.state),
                static_cast<unsigned long long>(outcome.id),
                outcome.tenant.c_str(), outcome.total_ms,
+               outcome.progress.dispatched,
                outcome.reason.empty() ? "" : " — ", outcome.reason.c_str());
 }
 

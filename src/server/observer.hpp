@@ -54,14 +54,13 @@ class ServerObserver {
   /// Fires from the thread calling observe_window().
   virtual void on_phase_change(const std::string& /*stream*/,
                                const adaptive::PhaseChange& /*change*/) {}
-  /// The drift policy decided on a confirmed phase change: Keep, or
-  /// Respecialize with `request_id` the drift request submitted through the
-  /// normal admission path (0 when the submission was rejected) after
-  /// evicting `evicted` stale cache slots.
+  /// The drift policy decided on a confirmed phase change: Keep (with
+  /// `request_id` 0), or Respecialize with `request_id` the drift request
+  /// submitted through the normal admission path. A rejected submission
+  /// keeps its nonzero id — the one `on_rejected` already reported.
   virtual void on_drift(const std::string& /*stream*/,
                         const adaptive::DriftDecision& /*decision*/,
-                        std::uint64_t /*request_id*/,
-                        std::size_t /*evicted*/) {}
+                        std::uint64_t /*request_id*/) {}
   /// Terminal outcome (Done/Failed/Cancelled/Expired). The reference is
   /// only guaranteed during the call.
   virtual void on_finished(const RequestOutcome& /*outcome*/) {}
@@ -103,8 +102,8 @@ class ServerObserverList final : public ServerObserver {
   }
   void on_drift(const std::string& stream,
                 const adaptive::DriftDecision& decision,
-                std::uint64_t request_id, std::size_t evicted) override {
-    for (auto* o : observers_) o->on_drift(stream, decision, request_id, evicted);
+                std::uint64_t request_id) override {
+    for (auto* o : observers_) o->on_drift(stream, decision, request_id);
   }
   void on_finished(const RequestOutcome& outcome) override {
     for (auto* o : observers_) o->on_finished(outcome);
@@ -136,7 +135,7 @@ class ServerTraceObserver final : public ServerObserver {
                        const adaptive::PhaseChange& change) override;
   void on_drift(const std::string& stream,
                 const adaptive::DriftDecision& decision,
-                std::uint64_t request_id, std::size_t evicted) override;
+                std::uint64_t request_id) override;
   void on_finished(const RequestOutcome& outcome) override;
   void on_drained(std::size_t synced, bool compacted) override;
 

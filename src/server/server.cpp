@@ -290,14 +290,11 @@ WindowObservation SpecializationServer::observe_window(
     observers_.on_phase_change(stream, *obs.decision.change);
   }
   if (obs.decision.action == adaptive::DriftAction::Respecialize) {
-    // Evict the slots the fresh selection dropped, then re-enter through
-    // the normal admission path: the drift request queues, coalesces and
-    // expires like client traffic, and the evictions are journaled so the
-    // persisted cache agrees.
-    std::size_t evicted = 0;
-    for (const std::uint64_t sig : obs.decision.stale) {
-      if (cache_.evict(sig)) ++evicted;
-    }
+    // Re-enter through the normal admission path: the drift request queues,
+    // coalesces and expires like client traffic. The stale slots leave only
+    // the stream's installed set (replaced when the request completes); the
+    // bitstream cache is every tenant's database and keeps their bitstreams,
+    // so a phase that returns is served from cache hits.
     SpecializationRequest request;
     request.tenant = tenant;
     request.module = std::move(module);
@@ -309,12 +306,11 @@ WindowObservation SpecializationServer::observe_window(
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++drift_respecializations_;
-      drift_evictions_ += evicted;
     }
-    observers_.on_drift(stream, obs.decision, ticket.id(), evicted);
+    observers_.on_drift(stream, obs.decision, ticket.id());
     obs.ticket = std::move(ticket);
   } else if (obs.decision.action == adaptive::DriftAction::Keep) {
-    observers_.on_drift(stream, obs.decision, 0, 0);
+    observers_.on_drift(stream, obs.decision, 0);
   }
   return obs;
 }
@@ -713,7 +709,6 @@ ServerStats SpecializationServer::stats() const {
     s.phase_changes = phase_changes_;
     s.drift_respecializations = drift_respecializations_;
     s.drift_keeps = drift_keeps_;
-    s.drift_evictions = drift_evictions_;
   }
   s.pipeline_runs = pipeline_runs_.load(std::memory_order_relaxed);
   s.executor = pool_.stats();

@@ -115,9 +115,9 @@ struct ServerConfig {
   /// Adaptive re-specialization under phase drift: the server hosts an
   /// adaptive::RespecializationPolicy, clients stream closed profile
   /// windows through observe_window(), and on a confirmed phase change
-  /// whose installed benefit has decayed the server evicts the stale
-  /// bitstream-cache slots and re-submits through the normal admission
-  /// queue with Trigger::Drift. Off: observe_window() is a no-op.
+  /// whose installed benefit has decayed the server re-submits through the
+  /// normal admission queue with Trigger::Drift. Off: observe_window() is a
+  /// no-op.
   bool adaptive = false;
   /// Detector/threshold/cost knobs of the drift loop (`adaptive` only).
   adaptive::RespecializationConfig respec;
@@ -173,19 +173,16 @@ struct ServerStats {
   // Shared-resource counters.
   std::uint64_t cache_hits = 0, cache_misses = 0;
   std::size_t cache_entries = 0;
-  /// Entries dropped from the bitstream cache: capacity LRU evictions plus
-  /// the drift loop's policy evictions (`drift_evictions` of these).
+  /// Entries the bitstream cache's capacity LRU dropped.
   std::uint64_t cache_evictions = 0;
   std::uint64_t estimate_hits = 0, estimate_misses = 0;
   /// Adaptive tier (zero when `ServerConfig::adaptive` is off): windows
   /// streamed in, phase changes confirmed, drift re-specializations
-  /// submitted, confirmed changes the policy absorbed, and stale cache
-  /// slots evicted by the drift loop.
+  /// submitted, and confirmed changes the policy absorbed.
   std::uint64_t windows_observed = 0;
   std::uint64_t phase_changes = 0;
   std::uint64_t drift_respecializations = 0;
   std::uint64_t drift_keeps = 0;
-  std::uint64_t drift_evictions = 0;
 
   [[nodiscard]] double estimate_hit_rate() const noexcept {
     const double total =
@@ -225,11 +222,12 @@ class SpecializationServer {
   /// Adaptive mode: streams one closed profile window for (tenant, module)
   /// into the drift loop. The policy detects phase changes, prices the
   /// installed instruction set under the new window, and on a Respecialize
-  /// decision the server evicts the stale cache slots and submits a
-  /// Trigger::Drift request (with the window as its profile) through the
-  /// normal admission path — coalescing, deadlines and fairness all apply,
-  /// and other tenants keep being served. With `adaptive` off this returns
-  /// a default (None) observation and touches nothing.
+  /// decision the server submits a Trigger::Drift request (with the window
+  /// as its profile) through the normal admission path — coalescing,
+  /// deadlines and fairness all apply, and other tenants keep being served.
+  /// The shared bitstream cache keeps the stale slots' bitstreams, so a
+  /// phase that returns is implemented from cache hits. With `adaptive` off
+  /// this returns a default (None) observation and touches nothing.
   WindowObservation observe_window(
       const std::string& tenant, std::shared_ptr<const ir::Module> module,
       std::shared_ptr<const vm::Profile> window, int priority = 0,
@@ -348,7 +346,6 @@ class SpecializationServer {
   std::uint64_t phase_changes_ = 0;
   std::uint64_t drift_respecializations_ = 0;
   std::uint64_t drift_keeps_ = 0;
-  std::uint64_t drift_evictions_ = 0;
   /// Per-tenant steady timestamp of the first submit — the start of the
   /// throughput window stats() reports.
   std::map<std::string, std::chrono::steady_clock::time_point> tenant_first_;

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -292,6 +294,38 @@ TEST(RespecPolicy, RespecializesOnDecayedRetention) {
   EXPECT_FALSE(drift.reason.empty());
 }
 
+TEST(RespecPolicy, InstalledSetListsEachSignatureOnce) {
+  const ir::Module m = make_two_kernel_module();
+  vm::Machine machine(m);
+  machine.enable_windowing({});
+  const vm::Profile wa = run_window(machine, "ka", 4000);
+  const vm::Profile wb = run_window(machine, "kb", 4000);
+
+  adaptive::RespecializationConfig cfg;
+  cfg.detector.hysteresis_windows = 1;
+  cfg.retention_threshold = 0.5;
+  adaptive::RespecializationPolicy policy(cfg, jit::SpecializerConfig{});
+  (void)policy.observe("t/m", m, wa);
+
+  hwlib::CircuitDb db;
+  const adaptive::WindowBenefit cold =
+      adaptive::evaluate_window_benefit(m, wa, {}, jit::SpecializerConfig{},
+                                        db, nullptr);
+  ASSERT_FALSE(cold.fresh_signatures.empty());
+  // One datapath selected in two blocks: `implemented` lists it twice.
+  std::vector<std::uint64_t> repeated = cold.fresh_signatures;
+  repeated.push_back(cold.fresh_signatures.front());
+  policy.install("t/m", fake_result(repeated));
+  EXPECT_EQ(policy.installed("t/m"), cold.fresh_signatures);
+
+  const adaptive::DriftDecision drift = policy.observe("t/m", m, wb);
+  ASSERT_EQ(drift.action, adaptive::DriftAction::Respecialize);
+  EXPECT_EQ(drift.stale, cold.fresh_signatures);
+  const std::set<std::uint64_t> distinct(drift.stale.begin(),
+                                         drift.stale.end());
+  EXPECT_EQ(distinct.size(), drift.stale.size());
+}
+
 TEST(RespecPolicy, KeepsWhenCostCannotBreakEven) {
   const ir::Module m = make_two_kernel_module();
   vm::Machine machine(m);
@@ -329,14 +363,20 @@ TEST(AdaptiveServer, ObserveWindowIsNoOpWhenDisabled) {
   EXPECT_EQ(srv.stats().windows_observed, 0u);
 }
 
-TEST(AdaptiveServer, DriftRespecializesThroughAdmissionQueue) {
+/// An adaptive server on the two-kernel module whose detector confirms a
+/// change after one window.
+server::ServerConfig two_kernel_drift_config() {
   server::ServerConfig cfg;
   cfg.workers = 2;
   cfg.specializer.jobs = 1;
   cfg.adaptive = true;
   cfg.respec.detector.hysteresis_windows = 1;
   cfg.respec.retention_threshold = 0.5;
-  server::SpecializationServer srv(cfg);
+  return cfg;
+}
+
+TEST(AdaptiveServer, DriftRespecializesThroughAdmissionQueue) {
+  server::SpecializationServer srv(two_kernel_drift_config());
 
   const auto module =
       std::make_shared<const ir::Module>(make_two_kernel_module());
@@ -387,11 +427,154 @@ TEST(AdaptiveServer, DriftRespecializesThroughAdmissionQueue) {
   EXPECT_EQ(stats.windows_observed, 2u);
   EXPECT_EQ(stats.phase_changes, 1u);
   EXPECT_EQ(stats.drift_respecializations, 1u);
-  EXPECT_GT(stats.drift_evictions, 0u);
-  EXPECT_GE(stats.cache_evictions, stats.drift_evictions);
+  // The stale slots leave the installed set, not the shared cache.
+  EXPECT_FALSE(obs.decision.stale.empty());
+  EXPECT_EQ(stats.cache_evictions, 0u);
   EXPECT_EQ(stats.admission_rejections, 0u);
   // The drift request is ordinary traffic for the tenant's accounting.
   EXPECT_EQ(stats.tenants.at("t").submitted, 2u);
+}
+
+/// Submits a client request and waits for it to resolve Done.
+server::RequestOutcome specialize(
+    server::SpecializationServer& srv, const std::string& tenant,
+    const std::shared_ptr<const ir::Module>& module,
+    const std::shared_ptr<const vm::Profile>& window) {
+  server::SpecializationRequest req;
+  req.tenant = tenant;
+  req.module = module;
+  req.profile = window;
+  server::RequestOutcome out = srv.submit(std::move(req)).wait();
+  EXPECT_EQ(out.state, server::RequestState::Done);
+  return out;
+}
+
+/// Every candidate of `out` came from the bitstream cache: no CAD ran.
+void expect_all_cache_hits(const server::RequestOutcome& out) {
+  ASSERT_EQ(out.state, server::RequestState::Done);
+  ASSERT_TRUE(out.result.has_value());
+  ASSERT_FALSE(out.result->implemented.empty());
+  for (const jit::ImplementedCandidate& impl : out.result->implemented)
+    EXPECT_TRUE(impl.cache_hit) << impl.name;
+  EXPECT_EQ(out.progress.dispatched, 0u);
+}
+
+TEST(AdaptiveServer, ReturningPhaseIsACacheHit) {
+  server::SpecializationServer srv(two_kernel_drift_config());
+  const auto module =
+      std::make_shared<const ir::Module>(make_two_kernel_module());
+  vm::Machine machine(*module);
+  machine.enable_windowing({});
+  const auto wa =
+      std::make_shared<const vm::Profile>(run_window(machine, "ka", 4000));
+  const auto wb =
+      std::make_shared<const vm::Profile>(run_window(machine, "kb", 4000));
+  // The returning phase: same kernel, different data.
+  const auto wa2 =
+      std::make_shared<const vm::Profile>(run_window(machine, "ka", 3000));
+
+  specialize(srv, "t", module, wa);
+  (void)srv.observe_window("t", module, wa);  // anchors phase ka
+
+  const server::WindowObservation to_b = srv.observe_window("t", module, wb);
+  ASSERT_EQ(to_b.decision.action, adaptive::DriftAction::Respecialize);
+  ASSERT_TRUE(to_b.ticket.has_value());
+  ASSERT_EQ(to_b.ticket->wait().state, server::RequestState::Done);
+
+  const server::WindowObservation back = srv.observe_window("t", module, wa2);
+  ASSERT_EQ(back.decision.action, adaptive::DriftAction::Respecialize);
+  ASSERT_TRUE(back.ticket.has_value());
+  const server::RequestOutcome& returned = back.ticket->wait();
+  EXPECT_EQ(returned.trigger, server::Trigger::Drift);
+  EXPECT_FALSE(returned.coalesced);
+  expect_all_cache_hits(returned);
+  srv.drain();
+}
+
+TEST(AdaptiveServer, DriftLeavesOtherTenantsHitsIntact) {
+  server::SpecializationServer srv(two_kernel_drift_config());
+  const auto module =
+      std::make_shared<const ir::Module>(make_two_kernel_module());
+  vm::Machine machine(*module);
+  machine.enable_windowing({});
+  const auto wa =
+      std::make_shared<const vm::Profile>(run_window(machine, "ka", 4000));
+  const auto wb =
+      std::make_shared<const vm::Profile>(run_window(machine, "kb", 4000));
+
+  specialize(srv, "x", module, wa);
+  // Tenant t installs the same ka set, then drifts to kb: ka's slots go
+  // stale for t.
+  specialize(srv, "t", module, wa);
+  (void)srv.observe_window("t", module, wa);
+  const server::WindowObservation obs = srv.observe_window("t", module, wb);
+  ASSERT_EQ(obs.decision.action, adaptive::DriftAction::Respecialize);
+  ASSERT_FALSE(obs.decision.stale.empty());
+  ASSERT_TRUE(obs.ticket.has_value());
+  ASSERT_EQ(obs.ticket->wait().state, server::RequestState::Done);
+
+  // x's repeated ka request is still served from the shared cache.
+  expect_all_cache_hits(specialize(srv, "x", module, wa));
+  srv.drain();
+}
+
+/// Records the ids `on_rejected` and `on_drift` report.
+class DriftIdRecorder final : public server::ServerObserver {
+ public:
+  void on_rejected(std::uint64_t id, const std::string&,
+                   const std::string&) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    rejected_.push_back(id);
+  }
+  void on_drift(const std::string&, const adaptive::DriftDecision&,
+                std::uint64_t request_id) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    drift_.push_back(request_id);
+  }
+  [[nodiscard]] std::vector<std::uint64_t> rejected() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return rejected_;
+  }
+  [[nodiscard]] std::vector<std::uint64_t> drift() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return drift_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::uint64_t> rejected_;
+  std::vector<std::uint64_t> drift_;
+};
+
+TEST(AdaptiveServer, RejectedDriftRequestKeepsItsId) {
+  DriftIdRecorder recorder;  // outlives the server, whose destructor drains
+  server::SpecializationServer srv(two_kernel_drift_config());
+  srv.add_observer(&recorder);
+  const auto module =
+      std::make_shared<const ir::Module>(make_two_kernel_module());
+  vm::Machine machine(*module);
+  machine.enable_windowing({});
+  const auto wa =
+      std::make_shared<const vm::Profile>(run_window(machine, "ka", 4000));
+  const auto wb =
+      std::make_shared<const vm::Profile>(run_window(machine, "kb", 4000));
+
+  (void)srv.observe_window("t", module, wa);
+  srv.drain();
+  const server::WindowObservation obs = srv.observe_window("t", module, wb);
+  ASSERT_EQ(obs.decision.action, adaptive::DriftAction::Respecialize);
+  ASSERT_TRUE(obs.ticket.has_value());
+  const server::RequestOutcome& out = obs.ticket->wait();
+  EXPECT_EQ(out.state, server::RequestState::Rejected);
+  EXPECT_EQ(out.reason, "server draining");
+
+  const std::vector<std::uint64_t> rejected = recorder.rejected();
+  const std::vector<std::uint64_t> drift = recorder.drift();
+  ASSERT_EQ(rejected.size(), 1u);
+  ASSERT_EQ(drift.size(), 1u);
+  EXPECT_NE(rejected.front(), 0u);
+  EXPECT_EQ(drift.front(), rejected.front());
+  EXPECT_EQ(drift.front(), obs.ticket->id());
 }
 
 TEST(PhaseShift, ReportIsSeedReproducibleAndDriftWins) {

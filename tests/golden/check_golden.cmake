@@ -7,26 +7,15 @@
 #
 # MASK_MEASURED=ON is for table2_overheads, whose stdout carries two measured
 # wall-clock fields among its modeled ones. Both sides are masked before the
-# comparison: each `real[ms] m/p` measured value together with the column
-# padding it sets, and the AVG-S/AVG-E times of the "candidate search stays
-# in milliseconds" line. Everything else must still match byte for byte.
+# comparison (mask_measured.cmake says what is masked); everything else must
+# still match byte for byte.
 #
 # A change that moves a modeled number regenerates the golden in the same
 # diff, e.g. from the repository root:
 #
 #   ./build/bench/table3_cad_constants > tests/golden/table3_cad_constants.txt
 
-function(mask_measured text out)
-  # Data rows: "| App | 0.43/1.44    |" -> "| App | #/1.44|".
-  string(REGEX REPLACE "\n(\\|[^|\n]*\\| )[0-9]+\\.[0-9]+(/[^ |\n]*) *\\|"
-         "\n\\1#\\2|" text "${text}")
-  # The header cell's padding and the separators' second segment.
-  string(REGEX REPLACE "(\\| real\\[ms\\] m/p) *\\|" "\\1|" text "${text}")
-  string(REGEX REPLACE "\n(\\|-+\\+)-+\\+" "\n\\1-+" text "${text}")
-  string(REGEX REPLACE "AVG-S [0-9.]+ ms, AVG-E [0-9.]+ ms"
-         "AVG-S # ms, AVG-E # ms" text "${text}")
-  set(${out} "${text}" PARENT_SCOPE)
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/mask_measured.cmake)
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${BINARY}" ${args}
