@@ -2,8 +2,11 @@
 // the runtime substrate every experiment stands on.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "apps/app.hpp"
 #include "ir/builder.hpp"
+#include "ir/link.hpp"
 #include "vm/interpreter.hpp"
 
 using namespace jitise;
@@ -62,6 +65,46 @@ void BM_AppProfilingRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(steps) * state.iterations());
 }
 BENCHMARK(BM_AppProfilingRun)->DenseRange(0, 3);
+
+void BM_ShortRunsOnLargeModule(benchmark::State& state) {
+  // A short run on a machine over a large module: the profile fold at each
+  // run end visits only the functions the run entered, so `sum` must cost
+  // about the same beside 444.namd's 7,288 decoded blocks as alone.
+  // Arg 0: a Machine over `sum` alone. Arg 1: over `sum` with 444.namd
+  // merged in, after one run of namd's entry decoded its functions.
+  Module m = make_sum();
+  vm::Machine* machine = nullptr;
+  std::unique_ptr<vm::Machine> alone;
+  if (state.range(0) == 0) {
+    alone = std::make_unique<vm::Machine>(m);
+    machine = alone.get();
+    state.SetLabel("sum");
+  } else {
+    // Built once: every invocation of this benchmark shares the warm machine.
+    static const struct Large {
+      Module module;
+      std::unique_ptr<vm::Machine> machine;
+    } large = [] {
+      const apps::App namd = apps::build_app("444.namd");
+      Large l{make_sum(), nullptr};
+      ir::merge_module(l.module, namd.module, "namd.");
+      l.machine = std::make_unique<vm::Machine>(l.module);
+      l.machine->run("namd." + namd.entry, namd.datasets[0].args, 1ull << 30);
+      return l;
+    }();
+    machine = large.machine.get();
+    state.SetLabel("sum + 444.namd");
+  }
+  const vm::Slot args[] = {vm::Slot::of_int(10)};
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    const auto r = machine->run("sum", args);
+    steps = r.steps;
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps) * state.iterations());
+}
+BENCHMARK(BM_ShortRunsOnLargeModule)->Arg(0)->Arg(1);
 
 void BM_AppBuild(benchmark::State& state) {
   // Module-construction cost for the largest scientific stand-in.

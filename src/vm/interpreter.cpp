@@ -10,34 +10,41 @@ namespace jitise::vm {
 using ir::Opcode;
 using ir::Type;
 
-namespace {
+// The straight-line op kinds: each is one case of Machine::exec's switch and
+// of exhaust()'s, and Machine::step<K> holds its semantics. Specialized kinds
+// fix the type of a hot (opcode, type) pair, i32 icmp has one kind per
+// predicate (in ir::ICmpPred order), and `Pure`, `Load` and `Store` cover the
+// rest.
+#define JITISE_VM_STRAIGHT_KINDS(X)                                          \
+  X(AddI32) X(SubI32) X(MulI32) X(AndI32) X(OrI32) X(XorI32) X(ShlI32)       \
+  X(LShrI32) X(AShrI32)                                                      \
+  X(EqI32) X(NeI32) X(SltI32) X(SleI32) X(SgtI32) X(SgeI32)                  \
+  X(UltI32) X(UleI32) X(UgtI32) X(UgeI32)                                    \
+  X(FAddF64) X(FSubF64) X(FMulF64) X(FDivF64)                                \
+  X(Select)                        /* a: condition; b, c: values */          \
+  X(Gep)                           /* imm: stride */                         \
+  X(LoadI32) X(LoadF64) X(Load)    /* a: address */                          \
+  X(StoreI32) X(StoreF64) X(Store) /* a: value; b: address; type: value's */ \
+  X(GlobalAddr)                    /* a: global */                           \
+  X(Alloca)                        /* imm: bytes */                          \
+  X(CustomOp)    /* a: custom-instruction id; b, c: operand list */          \
+  X(Pure)        /* a, b, c: operands; imm: index into Decoded::generic */   \
+  X(Unexpected)  /* Param, constant or misplaced phi inside a block */
 
 // Op kinds of the decoded form. The control kinds come first: each ends a
-// segment, and Machine::exec handles them itself. Every later kind is
-// straight-line and runs through Machine::step. Specialized kinds fix the
-// type of a hot (opcode, type) pair; `Pure`, `Load` and `Store` cover the
-// rest.
-enum class Kind : std::uint8_t {
+// segment, and Machine::exec runs them itself.
+enum class Machine::Kind : std::uint8_t {
   Br,       // a: edge
   CondBr,   // a: condition; b, c: true and false edges
   Ret,      // a: value, or kNoValue
   Call,     // a: callee; b, c: operand list; imm: the segment after the call
   FellOff,  // end of a block without a terminator; never counted
-  AddI32, SubI32, MulI32, AndI32, OrI32, XorI32, ShlI32, LShrI32, AShrI32,
-  ICmpI32,  // imm: predicate
-  FAddF64, FSubF64, FMulF64, FDivF64,
-  Select,
-  Gep,      // imm: stride
-  LoadI32, LoadF64, Load,      // a: address
-  StoreI32, StoreF64, Store,   // a: value; b: address; type: value type
-  GlobalAddr,  // a: global
-  Alloca,      // imm: bytes
-  CustomOp,    // a: custom-instruction id; b, c: operand list
-  Pure,        // a, b, c: operands; imm: index into Decoded::generic
-  Unexpected,  // Param, constant or misplaced phi inside a block
+#define JITISE_VM_KIND(k) k,
+  JITISE_VM_STRAIGHT_KINDS(JITISE_VM_KIND)
+#undef JITISE_VM_KIND
 };
 
-constexpr bool ends_segment(Kind k) noexcept { return k <= Kind::FellOff; }
+namespace {
 
 constexpr std::size_t kPhi = static_cast<std::size_t>(Opcode::Phi);
 
@@ -95,6 +102,10 @@ struct Machine::Op {
   std::uint32_t dst = 0;  // the instruction's own value slot
   std::uint32_t a = 0, b = 0, c = 0;
   std::int64_t imm = 0;
+
+  [[nodiscard]] bool ends_segment() const noexcept {
+    return kind <= Kind::FellOff;
+  }
 };
 
 struct Machine::Segment {
@@ -116,6 +127,8 @@ struct Machine::Edge {
 struct Machine::Decoded {
   std::vector<Op> ops;
   std::vector<Segment> segments;
+  std::vector<std::uint64_t> executed;  // per segment, since the last fold
+  bool entered = false;                 // listed in Machine::entered_
   std::vector<Tally> tallies;
   std::vector<Edge> edges;
   std::vector<Copy> copies;
@@ -126,36 +139,6 @@ struct Machine::Decoded {
   // gathering call and custom-op operands (a callee's frame starts there).
   std::uint32_t frame_size = 0;
 };
-
-namespace {
-
-/// The specialized kind of a pure op, or Pure.
-Kind pure_kind(const ir::Instruction& inst, Type src) {
-  const std::size_t n = inst.operands.size();
-  if (inst.op == Opcode::Select) return n == 3 ? Kind::Select : Kind::Pure;
-  if (n != 2) return Kind::Pure;
-  const bool i32 = inst.type == Type::I32, f64 = inst.type == Type::F64;
-  switch (inst.op) {
-    case Opcode::Gep: return Kind::Gep;
-    case Opcode::ICmp: return src == Type::I32 ? Kind::ICmpI32 : Kind::Pure;
-    case Opcode::Add: return i32 ? Kind::AddI32 : Kind::Pure;
-    case Opcode::Sub: return i32 ? Kind::SubI32 : Kind::Pure;
-    case Opcode::Mul: return i32 ? Kind::MulI32 : Kind::Pure;
-    case Opcode::And: return i32 ? Kind::AndI32 : Kind::Pure;
-    case Opcode::Or: return i32 ? Kind::OrI32 : Kind::Pure;
-    case Opcode::Xor: return i32 ? Kind::XorI32 : Kind::Pure;
-    case Opcode::Shl: return i32 ? Kind::ShlI32 : Kind::Pure;
-    case Opcode::LShr: return i32 ? Kind::LShrI32 : Kind::Pure;
-    case Opcode::AShr: return i32 ? Kind::AShrI32 : Kind::Pure;
-    case Opcode::FAdd: return f64 ? Kind::FAddF64 : Kind::Pure;
-    case Opcode::FSub: return f64 ? Kind::FSubF64 : Kind::Pure;
-    case Opcode::FMul: return f64 ? Kind::FMulF64 : Kind::Pure;
-    case Opcode::FDiv: return f64 ? Kind::FDivF64 : Kind::Pure;
-    default: return Kind::Pure;
-  }
-}
-
-}  // namespace
 
 class Machine::Decoder {
  public:
@@ -181,10 +164,45 @@ class Machine::Decoder {
       e.segment = entry_segment[e.target];
     }
     d_.frame_size = static_cast<std::uint32_t>(f_.values.size()) + scratch_;
+    d_.executed.assign(d_.segments.size(), 0);
     return std::move(d_);
   }
 
  private:
+  static_assert(static_cast<int>(Kind::UgeI32) - static_cast<int>(Kind::EqI32) ==
+                static_cast<int>(ir::ICmpPred::Uge));
+
+  /// The specialized kind of a pure op, or Pure.
+  static Kind pure_kind(const ir::Instruction& inst, Type src) {
+    const std::size_t n = inst.operands.size();
+    if (inst.op == Opcode::Select) return n == 3 ? Kind::Select : Kind::Pure;
+    if (n != 2) return Kind::Pure;
+    const bool i32 = inst.type == Type::I32, f64 = inst.type == Type::F64;
+    switch (inst.op) {
+      case Opcode::Gep: return Kind::Gep;
+      case Opcode::ICmp:  // one kind per predicate; a bad predicate stays Pure
+        if (src != Type::I32 ||
+            inst.aux > static_cast<std::uint32_t>(ir::ICmpPred::Uge))
+          return Kind::Pure;
+        return static_cast<Kind>(static_cast<std::uint32_t>(Kind::EqI32) +
+                                 inst.aux);
+      case Opcode::Add: return i32 ? Kind::AddI32 : Kind::Pure;
+      case Opcode::Sub: return i32 ? Kind::SubI32 : Kind::Pure;
+      case Opcode::Mul: return i32 ? Kind::MulI32 : Kind::Pure;
+      case Opcode::And: return i32 ? Kind::AndI32 : Kind::Pure;
+      case Opcode::Or: return i32 ? Kind::OrI32 : Kind::Pure;
+      case Opcode::Xor: return i32 ? Kind::XorI32 : Kind::Pure;
+      case Opcode::Shl: return i32 ? Kind::ShlI32 : Kind::Pure;
+      case Opcode::LShr: return i32 ? Kind::LShrI32 : Kind::Pure;
+      case Opcode::AShr: return i32 ? Kind::AShrI32 : Kind::Pure;
+      case Opcode::FAdd: return f64 ? Kind::FAddF64 : Kind::Pure;
+      case Opcode::FSub: return f64 ? Kind::FSubF64 : Kind::Pure;
+      case Opcode::FMul: return f64 ? Kind::FMulF64 : Kind::Pure;
+      case Opcode::FDiv: return f64 ? Kind::FDivF64 : Kind::Pure;
+      default: return Kind::Pure;
+    }
+  }
+
   void block(ir::BlockId b) {
     const auto& instrs = f_.blocks[b].instrs;
     std::size_t pos = 0;
@@ -300,7 +318,6 @@ class Machine::Decoder {
       default:
         if (!is_pure_op(inst.op)) break;
         op.kind = pure_kind(inst, src);
-        if (op.kind == Kind::ICmpI32) op.imm = inst.aux;
         if (op.kind == Kind::Pure) {
           op.imm = static_cast<std::int64_t>(d_.generic.size());
           d_.generic.push_back(
@@ -344,6 +361,7 @@ Machine::Machine(const ir::Module& module, CostModel cost,
                  std::uint32_t memory_bytes)
     : module_(module), cost_(cost), memory_(memory_bytes) {
   decoded_.resize(module_.functions.size());
+  entered_.reserve(module_.functions.size());  // each listed at most once
   profile_.block_counts.resize(module_.functions.size());
   for (std::size_t f = 0; f < module_.functions.size(); ++f)
     profile_.block_counts[f].assign(module_.functions[f].blocks.size(), 0);
@@ -372,13 +390,21 @@ void Machine::place_globals() {
 
 RunResult Machine::run(ir::FuncId fn, std::span<const Slot> args,
                        std::uint64_t max_steps) {
-  steps_left_ = max_steps;
+  budget_ = max_steps;
   run_steps_ = 0;
   run_cycles_ = 0;
+  folded_steps_ = 0;
+  arm_tick();
   if (regs_.size() < args.size()) regs_.resize(args.size());
   std::copy(args.begin(), args.end(), regs_.begin());
   RunResult result;
-  result.ret = exec(fn, 0, args.size(), 0);
+  try {
+    result.ret = exec(fn, 0, args.size(), 0);
+  } catch (...) {
+    fold();
+    throw;
+  }
+  fold();
   result.steps = run_steps_;
   result.cycles = run_cycles_;
   if (windowing_ && window_config_.per_run) close_window();
@@ -427,14 +453,70 @@ RunResult Machine::run(std::string_view fn_name, std::span<const Slot> args,
   return run(static_cast<ir::FuncId>(id), args, max_steps);
 }
 
-const Machine::Decoded& Machine::decoded(ir::FuncId fn) {
+Machine::Decoded& Machine::decoded(ir::FuncId fn) {
   std::unique_ptr<Decoded>& d = decoded_[fn];
   if (!d)
     d = std::make_unique<Decoded>(Decoder(module_.functions[fn], cost_).run());
   return *d;
 }
 
-// Executes one straight-line op.
+// Lists `fn` for the next fold. A function is listed on entry, after each
+// call it makes returns and after each window tick in it: a fold unlists
+// the functions it visits, even ones whose frames are still live.
+void Machine::mark_entered(ir::FuncId fn, Decoded& d) {
+  d.entered = true;
+  entered_.push_back(fn);
+}
+
+// Moves everything counted since the last fold into the profile and this
+// run's cycles: each listed function's segment counters times the segments'
+// cycle and opcode totals, the correction record, and the steps run since.
+void Machine::fold() noexcept {
+  std::uint64_t cycles = correction_.cycles;
+  for (std::size_t op = 0; op < ir::kNumOpcodes; ++op)
+    profile_.opcode_counts[op] += correction_.opcode_counts[op];
+  correction_ = Correction{};
+  for (const ir::FuncId fn : entered_) {
+    Decoded& d = *decoded_[fn];
+    d.entered = false;
+    for (std::size_t s = 0; s < d.segments.size(); ++s) {
+      const std::uint64_t n = d.executed[s];
+      if (n == 0) continue;
+      d.executed[s] = 0;
+      const Segment& seg = d.segments[s];
+      cycles += n * seg.cycles;
+      for (std::uint32_t t = seg.tally_begin; t < seg.tally_end; ++t)
+        profile_.opcode_counts[static_cast<std::size_t>(d.tallies[t].op)] +=
+            n * d.tallies[t].n;
+    }
+  }
+  entered_.clear();
+  profile_.dyn_instructions += run_steps_ - folded_steps_;
+  folded_steps_ = run_steps_;
+  profile_.cpu_cycles += cycles;
+  run_cycles_ += cycles;
+}
+
+// Re-derives tick_ from window_next_ as a step count of this run; the
+// profile must be folded. An overdue tick fires at the run's first block.
+void Machine::arm_tick() noexcept {
+  const std::uint64_t run_start = profile_.dyn_instructions - run_steps_;
+  tick_ = window_next_ == UINT64_MAX ? UINT64_MAX
+          : window_next_ > run_start ? window_next_ - run_start
+                                     : 0;
+}
+
+// Closes the window a tick at block entry in `fn` ends.
+void Machine::tick(ir::FuncId fn, Decoded& d) {
+  fold();
+  close_window();
+  arm_tick();
+  mark_entered(fn, d);
+}
+
+// The semantics of one straight-line kind. K is a constant, so each
+// instantiation compiles to its one case.
+template <Machine::Kind K>
 [[gnu::always_inline]] inline void Machine::step(const Decoded& d, const Op& op,
                                                  Slot* regs) {
   const auto i = [&](std::uint32_t s) { return regs[s].i; };
@@ -442,8 +524,10 @@ const Machine::Decoded& Machine::decoded(ir::FuncId fn) {
   const auto addr = [&](std::uint32_t s) {
     return static_cast<std::uint32_t>(regs[s].i);
   };
+  constexpr auto pred = static_cast<ir::ICmpPred>(
+      static_cast<int>(K) - static_cast<int>(Kind::EqI32));  // icmp kinds
   Slot& out = regs[op.dst];
-  switch (op.kind) {
+  switch (K) {
     case Kind::AddI32: out = Slot::of_int(pure::add(Type::I32, i(op.a), i(op.b))); return;
     case Kind::SubI32: out = Slot::of_int(pure::sub(Type::I32, i(op.a), i(op.b))); return;
     case Kind::MulI32: out = Slot::of_int(pure::mul(Type::I32, i(op.a), i(op.b))); return;
@@ -453,9 +537,10 @@ const Machine::Decoded& Machine::decoded(ir::FuncId fn) {
     case Kind::ShlI32: out = Slot::of_int(pure::shl(Type::I32, i(op.a), i(op.b))); return;
     case Kind::LShrI32: out = Slot::of_int(pure::lshr(Type::I32, i(op.a), i(op.b))); return;
     case Kind::AShrI32: out = Slot::of_int(pure::ashr(Type::I32, i(op.a), i(op.b))); return;
-    case Kind::ICmpI32:
-      out = Slot::of_int(pure::icmp(static_cast<ir::ICmpPred>(op.imm), Type::I32,
-                                    i(op.a), i(op.b)) ? 1 : 0);
+    case Kind::EqI32: case Kind::NeI32: case Kind::SltI32: case Kind::SleI32:
+    case Kind::SgtI32: case Kind::SgeI32: case Kind::UltI32: case Kind::UleI32:
+    case Kind::UgtI32: case Kind::UgeI32:
+      out = Slot::of_int(pure::icmp(pred, Type::I32, i(op.a), i(op.b)) ? 1 : 0);
       return;
     case Kind::FAddF64: out = Slot::of_float(pure::fadd(Type::F64, f(op.a), f(op.b))); return;
     case Kind::FSubF64: out = Slot::of_float(pure::fsub(Type::F64, f(op.a), f(op.b))); return;
@@ -480,9 +565,7 @@ const Machine::Decoded& Machine::decoded(ir::FuncId fn) {
       for (std::uint32_t k = 0; k < op.c; ++k) inputs[k] = regs[d.operands[op.b + k]];
       const CustomExec ce = custom_(op.a, std::span<const Slot>(inputs, op.c));
       // The base-cost of 1 cycle was already charged; add the remainder.
-      const std::uint32_t extra = ce.cycles > 0 ? ce.cycles - 1 : 0;
-      run_cycles_ += extra;
-      profile_.cpu_cycles += extra;
+      correction_.cycles += ce.cycles > 0 ? ce.cycles - 1 : 0;
       out = ce.result;
       return;
     }
@@ -496,70 +579,71 @@ const Machine::Decoded& Machine::decoded(ir::FuncId fn) {
       throw ExecutionError(std::string("unexpected opcode ") +
                            std::string(ir::opcode_name(op.opcode)));
     default:
-      return;  // control kinds run in exec()
+      return;  // control kinds run in exec(); never instantiated
   }
 }
 
 // Counts a whole segment up front. When the step budget runs out inside it,
 // exhaust() replays it one instruction at a time instead and never returns.
 [[gnu::always_inline]] inline void Machine::count(const Decoded& d,
-                                                  const Segment& seg,
-                                                  const Op* first, Slot* regs) {
-  if (seg.steps > steps_left_ - run_steps_) exhaust(d, seg, first, regs);
+                                                  std::uint32_t segment,
+                                                  const Op* first, Slot* regs,
+                                                  std::uint64_t* executed) {
+  const Segment& seg = d.segments[segment];
+  if (seg.steps > budget_ - run_steps_) exhaust(d, seg, first, regs);
   run_steps_ += seg.steps;
-  profile_.dyn_instructions += seg.steps;
-  run_cycles_ += seg.cycles;
-  profile_.cpu_cycles += seg.cycles;
-  const Tally* t = d.tallies.data() + seg.tally_begin;
-  const Tally* const end = d.tallies.data() + seg.tally_end;
-  for (; t != end; ++t)
-    profile_.opcode_counts[static_cast<std::size_t>(t->op)] += t->n;
+  ++executed[segment];
 }
 
-// Per-instruction accounting for the one segment in which the step budget
-// runs out: the phi group, one budget check, then each op counted and
-// checked before it runs. Only a segment's last op can end it, so every op
-// that runs here is straight-line, and the run always ends here.
+// Per-instruction accounting, into the correction record, for the one
+// segment in which the step budget runs out: the phi group, one budget
+// check, then each op counted and checked before it runs. Only a segment's
+// last op can end it, so every op that runs here is straight-line, and the
+// run always ends here.
 void Machine::exhaust(const Decoded& d, const Segment& seg, const Op* op,
                       Slot* regs) {
   run_steps_ += seg.phis;
-  profile_.dyn_instructions += seg.phis;
-  profile_.opcode_counts[kPhi] += seg.phis;
-  if (run_steps_ > steps_left_) throw ExecutionError("step budget exceeded");
+  correction_.opcode_counts[kPhi] += seg.phis;
+  if (run_steps_ > budget_) throw ExecutionError("step budget exceeded");
   for (;; ++op) {
     ++run_steps_;
-    ++profile_.dyn_instructions;
-    ++profile_.opcode_counts[static_cast<std::size_t>(op->opcode)];
-    run_cycles_ += op->cycles;
-    profile_.cpu_cycles += op->cycles;
-    if (run_steps_ > steps_left_) throw ExecutionError("step budget exceeded");
-    step(d, *op, regs);
+    ++correction_.opcode_counts[static_cast<std::size_t>(op->opcode)];
+    correction_.cycles += op->cycles;
+    if (run_steps_ > budget_) throw ExecutionError("step budget exceeded");
+    switch (op->kind) {
+#define JITISE_VM_STEP(k)        \
+  case Kind::k:                  \
+    step<Kind::k>(d, *op, regs); \
+    break;
+      JITISE_VM_STRAIGHT_KINDS(JITISE_VM_STEP)
+#undef JITISE_VM_STEP
+      default:
+        break;  // a control kind: not reached, see above
+    }
   }
 }
 
 // Takes back the counts of the ops after `op` in its segment: they were
 // counted when the segment was entered, but the exception stopped them.
 void Machine::uncount_rest(const Op* op) noexcept {
-  while (!ends_segment(op->kind)) {
+  while (!op->ends_segment()) {
     ++op;
     if (op->kind == Kind::FellOff) return;
     --run_steps_;
-    --profile_.dyn_instructions;
-    --profile_.opcode_counts[static_cast<std::size_t>(op->opcode)];
-    run_cycles_ -= op->cycles;
-    profile_.cpu_cycles -= op->cycles;
+    --correction_.opcode_counts[static_cast<std::size_t>(op->opcode)];
+    correction_.cycles -= op->cycles;
   }
 }
 
 // Enters `edge`'s target: the block count, the window tick, the phis' parallel
 // copy, then the accounting of the block's first segment.
 [[gnu::always_inline]] inline const Machine::Op* Machine::enter(
-    const Decoded& d, const Edge& edge, ir::FuncId fn, Slot* regs,
-    std::uint64_t* block_counts) {
+    Decoded& d, const Edge& edge, ir::FuncId fn, Slot* regs,
+    std::uint64_t* block_counts, std::uint64_t* executed) {
   ++block_counts[edge.target];
   // Windowed profiling tick: one compare against a sentinel (UINT64_MAX
   // when disabled), so the non-windowed hot path pays a single branch.
-  if (profile_.dyn_instructions >= window_next_) close_window();
+  if (run_steps_ >= tick_) tick(fn, d);
   if (edge.missing_arc)
     throw ExecutionError("phi without arc for incoming edge in @" +
                          module_.functions[fn].name);
@@ -569,7 +653,7 @@ void Machine::uncount_rest(const Op* op) noexcept {
   for (std::uint32_t k = 0; k < n; ++k) staging[k] = regs[copies[k].src];
   for (std::uint32_t k = 0; k < n; ++k) regs[copies[k].dst] = staging[k];
   const Op* first = d.ops.data() + edge.first_op;
-  count(d, d.segments[edge.segment], first, regs);
+  count(d, edge.segment, first, regs, executed);
   return first;
 }
 
@@ -579,7 +663,8 @@ Slot Machine::exec(ir::FuncId fn, std::uint32_t base, std::size_t nargs,
   const ir::Function& f = module_.functions[fn];
   if (nargs != f.params.size())
     throw ExecutionError("arity mismatch calling @" + f.name);
-  const Decoded& d = decoded(fn);
+  Decoded& d = decoded(fn);
+  if (!d.entered) mark_entered(fn, d);
   if (regs_.size() < base + d.frame_size)
     regs_.resize(std::max<std::size_t>(base + d.frame_size, 2 * regs_.size()));
   Slot* regs = regs_.data() + base;
@@ -588,19 +673,20 @@ Slot Machine::exec(ir::FuncId fn, std::uint32_t base, std::size_t nargs,
             d.preset.end(), regs + nargs);
   const std::uint32_t stack_mark = memory_.stack_mark();
   std::uint64_t* const block_counts = profile_.block_counts[fn].data();
+  std::uint64_t* const executed = d.executed.data();
   const auto values = static_cast<std::uint32_t>(d.preset.size());
 
   const Op* op = nullptr;
   try {
-    op = enter(d, d.edges[0], fn, regs, block_counts);
+    op = enter(d, d.edges[0], fn, regs, block_counts, executed);
     for (;;) {
       switch (op->kind) {
         case Kind::Br:
-          op = enter(d, d.edges[op->a], fn, regs, block_counts);
+          op = enter(d, d.edges[op->a], fn, regs, block_counts, executed);
           continue;
         case Kind::CondBr:
           op = enter(d, d.edges[regs[op->a].i != 0 ? op->b : op->c], fn, regs,
-                     block_counts);
+                     block_counts, executed);
           continue;
         case Kind::Ret: {
           const Slot r = op->a == ir::kNoValue ? Slot{} : regs[op->a];
@@ -614,16 +700,20 @@ Slot Machine::exec(ir::FuncId fn, std::uint32_t base, std::size_t nargs,
           const Slot r = exec(op->a, base + values, op->c, depth + 1);
           regs = regs_.data() + base;
           regs[op->dst] = r;
-          count(d, d.segments[static_cast<std::size_t>(op->imm)], op + 1, regs);
+          if (!d.entered) mark_entered(fn, d);
+          count(d, static_cast<std::uint32_t>(op->imm), op + 1, regs, executed);
           ++op;
           continue;
         }
         case Kind::FellOff:
           throw ExecutionError("fell off the end of block in @" + f.name);
-        default:
-          step(d, *op, regs);
-          ++op;
-          continue;
+#define JITISE_VM_STEP(k)        \
+  case Kind::k:                  \
+    step<Kind::k>(d, *op, regs); \
+    ++op;                        \
+    continue;
+          JITISE_VM_STRAIGHT_KINDS(JITISE_VM_STEP)
+#undef JITISE_VM_STEP
       }
     }
   } catch (...) {
@@ -631,5 +721,7 @@ Slot Machine::exec(ir::FuncId fn, std::uint32_t base, std::size_t nargs,
     throw;
   }
 }
+
+#undef JITISE_VM_STRAIGHT_KINDS
 
 }  // namespace jitise::vm

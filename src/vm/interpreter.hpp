@@ -10,16 +10,26 @@
 //
 // Decoded form. A function is decoded on its first call into a flat op array:
 // operand slots and the op's cycle cost inline, one op kind per hot
-// (opcode, type) pair, phis lowered to one parallel-copy list per CFG edge.
+// (opcode, type) pair and per i32 compare predicate, every kind a case of
+// one dispatch switch, phis lowered to one parallel-copy list per CFG edge.
 // Each call's registers are a frame bump-allocated on one Machine-owned
 // stack. The module must not change while a Machine built on it lives: the
 // decoded form is never rebuilt.
 //
-// Exact profiles. Counters move once per *segment* — a block's instructions
-// up to and including each Call, or up to the terminator — by the segment's
-// precomputed step, cycle and opcode counts. Everything observable matches
-// counting one instruction at a time:
-//   - a window tick at block entry sees the exact dynamic count, because a
+// Exact profiles. A *segment* is a block's instructions up to and including
+// each Call, or up to the terminator. Besides the block count at block
+// entry, entering a segment only bumps its execution counter, advances the
+// run's step count by its length and checks the step budget. A *fold*
+// turns the counters into the profile's instruction, cycle and opcode totals
+// and the run's cycles (each counter times its segment's precomputed cycle
+// and opcode totals, plus a correction record) and resets them. It runs at
+// every run end, normal or throwing, and at every window close, and visits
+// only the functions entered since the previous fold. So profile() and
+// snapshot() are current between runs and in every closed window, which is
+// where callers read them. Everything observable matches counting one
+// instruction at a time:
+//   - a window tick at block entry compares the run's step count with a
+//     run-relative threshold and sees the exact dynamic count, because a
 //     segment never spans a call (a callee's block entries tick mid-caller);
 //   - a block's phis count as one group (0 cycles) followed by one step
 //     budget check; a phi without an arc for the incoming edge throws at block
@@ -28,6 +38,9 @@
 //     time, so the error fires at the same instruction with the same counts;
 //   - a trap counts the trapping instruction but not the rest of its segment;
 //   - a block without a terminator runs its instructions, then throws.
+// The correction record holds what segment counts cannot: the
+// one-at-a-time accounting of the segment where the budget ran out, the
+// un-counted tail of a trapped segment, and custom ops' extra cycles.
 #pragma once
 
 #include <array>
@@ -158,11 +171,14 @@ class Machine {
   RunResult run(std::string_view fn_name, std::span<const Slot> args,
                 std::uint64_t max_steps = 1ull << 32);
 
+  /// The accumulated profile, current at every run end and window close
+  /// (not from inside a run, e.g. from a custom-op handler).
   [[nodiscard]] const Profile& profile() const noexcept { return profile_; }
   /// A copy of the accumulated profile that does not disturb accumulation;
   /// pairs with Profile::diff for snapshot-and-subtract windowing without
-  /// the information loss of clear_profile().
+  /// the information loss of clear_profile(). Current where profile() is.
   [[nodiscard]] Profile snapshot() const { return profile_; }
+  /// Zeroes the profile between runs.
   void clear_profile() noexcept;
 
   /// Switches the machine into windowed profiling: the accumulated profile
@@ -187,24 +203,37 @@ class Machine {
   }
 
  private:
+  enum class Kind : std::uint8_t;
   struct Decoded;
   struct Op;
   struct Edge;
   struct Segment;
   class Decoder;
 
+  // Counts the fold adds besides the segment counters'. An un-count
+  // subtracts, modulo 2^64.
+  struct Correction {
+    std::uint64_t cycles = 0;
+    std::array<std::uint64_t, ir::kNumOpcodes> opcode_counts{};
+  };
+
   void place_globals();
-  const Decoded& decoded(ir::FuncId fn);
+  Decoded& decoded(ir::FuncId fn);
   Slot exec(ir::FuncId fn, std::uint32_t base, std::size_t nargs,
             unsigned depth);
-  const Op* enter(const Decoded& d, const Edge& edge, ir::FuncId fn,
-                  Slot* regs, std::uint64_t* block_counts);
-  void count(const Decoded& d, const Segment& seg, const Op* first,
-             Slot* regs);
+  const Op* enter(Decoded& d, const Edge& edge, ir::FuncId fn, Slot* regs,
+                  std::uint64_t* block_counts, std::uint64_t* executed);
+  void count(const Decoded& d, std::uint32_t segment, const Op* first,
+             Slot* regs, std::uint64_t* executed);
   [[noreturn]] void exhaust(const Decoded& d, const Segment& seg,
                             const Op* op, Slot* regs);
   void uncount_rest(const Op* op) noexcept;
+  template <Kind K>
   void step(const Decoded& d, const Op& op, Slot* regs);
+  void mark_entered(ir::FuncId fn, Decoded& d);
+  void fold() noexcept;
+  void tick(ir::FuncId fn, Decoded& d);
+  void arm_tick() noexcept;
 
   const ir::Module& module_;
   CostModel cost_;
@@ -212,16 +241,24 @@ class Machine {
   std::vector<std::uint32_t> global_addr_;
   Profile profile_;
   CustomOpHandler custom_;
-  std::uint64_t steps_left_ = 0;
+  // The current run: its step budget, its steps so far, and its cycles and
+  // steps as of the last fold.
+  std::uint64_t budget_ = 0;
   std::uint64_t run_steps_ = 0;
   std::uint64_t run_cycles_ = 0;
+  std::uint64_t folded_steps_ = 0;
+  Correction correction_;
+  // Functions whose segment counters may have moved since the last fold.
+  std::vector<ir::FuncId> entered_;
   // Windowed profiling (enable_windowing). window_next_ is the dynamic
-  // instruction count at which the next tick-boundary fires; UINT64_MAX is
-  // the disabled sentinel, so the hot block-entry check is one compare.
+  // instruction count at which the next tick-boundary fires, and tick_ the
+  // same point as a step count of the current run; UINT64_MAX is the
+  // disabled sentinel, so the hot block-entry check is one compare.
   bool windowing_ = false;
   WindowConfig window_config_;
   Profile window_base_;
   std::uint64_t window_next_ = UINT64_MAX;
+  std::uint64_t tick_ = UINT64_MAX;
   std::deque<ProfileWindow> windows_;
   std::uint64_t windows_closed_ = 0;
   // Per-function decoded form, built on the function's first call.

@@ -169,7 +169,7 @@ TEST(Apps, MicroSuiteIsTaggedIrregular) {
 
 TEST(Apps, UnknownAppErrorListsValidNames) {
   try {
-    apps::build_app("no_such_app");
+    (void)apps::build_app("no_such_app");
     FAIL() << "build_app must throw for unknown names";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();

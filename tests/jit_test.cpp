@@ -243,7 +243,9 @@ TEST(Cache, StripedMatchesSingleStripeSerially) {
       const auto a = single.lookup(sig);
       const auto b = striped.lookup(sig);
       ASSERT_EQ(a.has_value(), b.has_value());
-      if (a) EXPECT_EQ(a->hw_cycles, b->hw_cycles);
+      if (a) {
+        EXPECT_EQ(a->hw_cycles, b->hw_cycles);
+      }
     }
   }
   EXPECT_EQ(single.entries(), striped.entries());

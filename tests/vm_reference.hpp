@@ -4,9 +4,11 @@
 // bumps the four profile counters per instruction, looks the cost up by
 // (op, type), copies the whole constant frame on every call and finds each
 // phi's incoming arc by linear scan. `vm::Machine` runs a decoded form that
-// counts whole segments at once, and VmDecoded.MatchesReference in
-// vm_test.cpp holds the two to identical results, profiles, windows and
-// traps. Keep these bodies unchanged: they are the specification.
+// counts whole segments and folds the counts into the profile at run ends
+// and window closes. VmDecoded.MatchesReference in vm_test.cpp holds the
+// two to identical results, profiles, windows and traps on fresh machines,
+// and VmDecoded.RepeatedRunsMatchReference across repeated runs and
+// clear_profile(). Keep these bodies unchanged: they are the specification.
 #pragma once
 
 #include <algorithm>
@@ -73,6 +75,16 @@ class Machine {
   }
 
   [[nodiscard]] const Profile& profile() const noexcept { return profile_; }
+  [[nodiscard]] Profile snapshot() const { return profile_; }
+
+  void clear_profile() noexcept {
+    profile_.clear();
+    if (windowing_) {
+      window_base_.clear();
+      if (window_config_.instructions_per_window != 0)
+        window_next_ = window_config_.instructions_per_window;
+    }
+  }
 
   void enable_windowing(const WindowConfig& config) {
     windowing_ = true;

@@ -622,6 +622,46 @@ std::uint64_t run_length(const Case& c) {
   return probe.run(c.fn, c.args).steps;
 }
 
+/// Data set `ds` of `app`: the train set closes windows on instruction
+/// ticks, every other set per run.
+Case dataset_case(const apps::App& app, std::size_t ds) {
+  return Case{app.name + "/" + app.datasets[ds].name, &app.module,
+              function_id(app.module, app.entry), app.datasets[ds].args,
+              ds == 0 ? tick_windows() : run_windows()};
+}
+
+/// `app` rewritten with the custom instructions of its train-set profile,
+/// run through the CiRegistry handler.
+Case rewritten_case(std::deque<jit::SpecializationResult>& specialized,
+                    const apps::App& app) {
+  Machine profiler(app.module);
+  profiler.run(app.entry, app.datasets[0].args);
+  jit::SpecializerConfig config;
+  config.jobs = 1;
+  const auto& spec = specialized.emplace_back(
+      jit::specialize(app.module, profiler.profile(), config));
+  EXPECT_FALSE(spec.registry.all().empty()) << app.name;
+  Case c{app.name + " rewritten", &spec.rewritten,
+         function_id(spec.rewritten, app.entry), app.datasets[0].args,
+         tick_windows()};
+  c.handler = spec.registry.handler();
+  return c;
+}
+
+/// A random program; even seeds close windows on instruction ticks, odd
+/// seeds per run.
+Case random_case(std::deque<Module>& modules, std::uint64_t seed) {
+  RandomProgramConfig config;
+  config.seed = seed;
+  config.num_functions = 1 + seed % 3;
+  config.blocks_per_function = 6 + seed % 9;
+  config.ops_per_block = 6 + seed % 6;
+  const Module& m = modules.emplace_back(generate_random_program(config));
+  return Case{"random seed " + std::to_string(seed), &m, function_id(m, "main"),
+              {Slot::of_int(static_cast<std::int64_t>(seed * 37 % 101) - 20)},
+              seed % 2 == 0 ? tick_windows() : run_windows()};
+}
+
 /// Adds `c` at `budget`; the run traps when it is longer than the budget.
 void add_budget(std::vector<Case>& cases, Case c, std::uint64_t budget,
                 std::uint64_t length) {
@@ -736,48 +776,21 @@ TEST(VmDecoded, MatchesReference) {
   std::deque<apps::App> suite;
   for (const std::string& name : apps::app_names()) {
     const apps::App& app = suite.emplace_back(apps::build_app(name));
-    for (std::size_t ds = 0; ds < app.datasets.size(); ++ds) {
-      if (ds > 0 && app.domain != apps::Domain::Embedded) break;
-      Case c{name + "/" + app.datasets[ds].name, &app.module,
-             function_id(app.module, app.entry), app.datasets[ds].args,
-             ds == 0 ? tick_windows() : run_windows()};
-      if (ds == 0) add_budgets(cases, c);
-      else cases.push_back(c);
-    }
+    add_budgets(cases, dataset_case(app, 0));
+    if (app.domain != apps::Domain::Embedded) continue;
+    for (std::size_t ds = 1; ds < app.datasets.size(); ++ds)
+      cases.push_back(dataset_case(app, ds));
   }
 
-  // The embedded apps rewritten with their custom instructions, run through
-  // the CiRegistry handler.
+  // The embedded apps rewritten with their custom instructions.
   std::deque<jit::SpecializationResult> specialized;
-  for (const apps::App& app : suite) {
-    if (app.domain != apps::Domain::Embedded) continue;
-    Machine profiler(app.module);
-    profiler.run(app.entry, app.datasets[0].args);
-    jit::SpecializerConfig config;
-    config.jobs = 1;
-    const auto& spec = specialized.emplace_back(
-        jit::specialize(app.module, profiler.profile(), config));
-    ASSERT_FALSE(spec.registry.all().empty()) << app.name;
-    Case c{app.name + " rewritten", &spec.rewritten,
-           function_id(spec.rewritten, app.entry), app.datasets[0].args,
-           tick_windows()};
-    c.handler = spec.registry.handler();
-    cases.push_back(c);
-  }
+  for (const apps::App& app : suite)
+    if (app.domain == apps::Domain::Embedded)
+      cases.push_back(rewritten_case(specialized, app));
 
   // Random programs, alternating the two window modes.
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    RandomProgramConfig config;
-    config.seed = seed;
-    config.num_functions = 1 + seed % 3;
-    config.blocks_per_function = 6 + seed % 9;
-    config.ops_per_block = 6 + seed % 6;
-    const Module& m = modules.emplace_back(generate_random_program(config));
-    const Case c{"random seed " + std::to_string(seed), &m, function_id(m, "main"),
-                 {Slot::of_int(static_cast<std::int64_t>(seed * 37 % 101) - 20)},
-                 seed % 2 == 0 ? tick_windows() : run_windows()};
-    add_budgets(cases, c);
-  }
+  for (std::uint64_t seed = 1; seed <= 60; ++seed)
+    add_budgets(cases, random_case(modules, seed));
 
   // Every budget of a phi loop, so the budget runs out inside a phi group.
   const Module& sum = modules.emplace_back(make_sum_module());
@@ -801,6 +814,63 @@ TEST(VmDecoded, MatchesReference) {
   }
 
   for (const Case& c : cases) EXPECT_EQ(compare(c), "");
+}
+
+/// Runs `c` twice on one decoded and one reference machine, then once more
+/// after clear_profile() on both: one long-lived machine accumulating across
+/// runs, as the drift loop drives it. After every run it compares the run,
+/// the profile, the windows and the profile's change since the previous
+/// snapshot (or since the clear). Returns the first difference, or "".
+std::string compare_repeated(const Case& c) {
+  Machine decoded(*c.module);
+  reference::Machine ref(*c.module);
+  decoded.set_custom_handler(c.handler);
+  ref.set_custom_handler(c.handler);
+  decoded.enable_windowing(c.windows);
+  ref.enable_windowing(c.windows);
+  Profile got_before = decoded.snapshot(), want_before = ref.snapshot();
+  for (int run = 1; run <= 3; ++run) {
+    if (run == 3) {
+      decoded.clear_profile();
+      ref.clear_profile();
+      got_before = decoded.snapshot();
+      want_before = ref.snapshot();
+    }
+    const Observed got = observe(decoded, c.fn, c.args, c.budget);
+    std::string diff = difference(got, observe(ref, c.fn, c.args, c.budget));
+    if (diff.empty() && !got.error.empty()) diff = "unexpected trap: " + got.error;
+    const Profile got_now = decoded.snapshot(), want_now = ref.snapshot();
+    if (diff.empty() &&
+        !same_profile(got_now.diff(got_before), want_now.diff(want_before)))
+      diff = "snapshot diff";
+    if (!diff.empty()) return c.name + " run " + std::to_string(run) + ": " + diff;
+    got_before = got_now;
+    want_before = want_now;
+  }
+  return "";
+}
+
+TEST(VmDecoded, RepeatedRunsMatchReference) {
+  std::deque<Module> modules;
+  std::vector<Case> cases;
+
+  // Every data set of the four embedded apps, and each app rewritten.
+  std::deque<apps::App> embedded;
+  std::deque<jit::SpecializationResult> specialized;
+  for (const std::string& name : apps::app_names()) {
+    apps::App app = apps::build_app(name);
+    if (app.domain != apps::Domain::Embedded) continue;
+    const apps::App& kept = embedded.emplace_back(std::move(app));
+    for (std::size_t ds = 0; ds < kept.datasets.size(); ++ds)
+      cases.push_back(dataset_case(kept, ds));
+    cases.push_back(rewritten_case(specialized, kept));
+  }
+  ASSERT_EQ(embedded.size(), 4u);
+
+  for (std::uint64_t seed = 1; seed <= 60; ++seed)
+    cases.push_back(random_case(modules, seed));
+
+  for (const Case& c : cases) EXPECT_EQ(compare_repeated(c), "");
 }
 
 }  // namespace
