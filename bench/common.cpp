@@ -6,9 +6,11 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "jit/cache_io.hpp"
+#include "jit/pipeline.hpp"
 #include "support/thread_pool.hpp"
 #include "woolcano/asip.hpp"
 
@@ -191,6 +193,45 @@ double break_even_for(const AppRun& run, double overhead_s) {
         return it != speedup_map.end() ? it->second : 1.0;
       });
   return jit::break_even_seconds(terms, overhead_s);
+}
+
+std::vector<SelectedDesign> selected_designs(
+    const std::vector<std::string>& apps) {
+  const jit::SpecializerConfig config;
+  const fpga::Fabric region(config.flow.fabric);
+  std::vector<SelectedDesign> designs;
+  std::set<std::uint64_t> seen;
+  for (const std::string& name : apps) {
+    const apps::App app = apps::build_app(name);
+    vm::Machine machine(app.module);
+    machine.run(app.entry, app.datasets[0].args, 1ull << 30);
+    hwlib::CircuitDb db;
+    jit::PipelineObserver quiet;
+    const jit::SearchArtifact art = jit::CandidateSearchStage(config).run(
+        app.module, machine.profile(), db, quiet);
+    for (std::size_t idx : art.selection.chosen) {
+      const auto project = datapath::create_project(
+          *art.graphs[art.graph_of[idx]], art.scored[idx].candidate, db,
+          name + "_" + std::to_string(idx));
+      if (!seen.insert(project.signature).second) continue;
+      SelectedDesign selected{name, fpga::synthesize_top(project.netlist),
+                              config.flow.placer};
+      try {
+        fpga::check_fit(selected.design, region);
+      } catch (const fpga::CadError&) {
+        continue;
+      }
+      selected.placer.seed ^= project.signature;
+      designs.push_back(std::move(selected));
+    }
+  }
+  return designs;
+}
+
+std::vector<SelectedDesign> cold_designs() {
+  std::vector<std::string> apps = apps::app_names(apps::Suite::Classic);
+  apps.push_back("game_tree");
+  return selected_designs(apps);
 }
 
 AppRun run_app(const std::string& name, const SuiteOptions& options) {

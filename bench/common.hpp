@@ -124,4 +124,23 @@ block_speedups(const ir::Module& module, const woolcano::CiRegistry& registry,
 /// Break-even seconds for a finished AppRun under a given total overhead.
 [[nodiscard]] double break_even_for(const AppRun& run, double overhead_s);
 
+/// A selected candidate as the CAD flow places it: its project's top netlist
+/// synthesized, with the flow's per-candidate placer seed.
+struct SelectedDesign {
+  std::string app;
+  fpga::MappedDesign design;
+  fpga::PlacerConfig placer;
+};
+
+/// The final selections of `apps` (train profile, default specializer
+/// configuration), each distinct design (by signature) once, in app and
+/// selection order. Designs that do not fit the default region are left out:
+/// the flow rejects them in translate, before placement.
+[[nodiscard]] std::vector<SelectedDesign> selected_designs(
+    const std::vector<std::string>& apps);
+
+/// The designs cold specialization implements: `selected_designs` of the 14
+/// classic apps and game_tree (the other micro kernels select nothing).
+[[nodiscard]] std::vector<SelectedDesign> cold_designs();
+
 }  // namespace jitise::bench

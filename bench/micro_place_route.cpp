@@ -5,16 +5,19 @@
 // BM_Place/BM_Route run synthetic chain netlists (fan-out around 12);
 // BM_PlaceCandidate/BM_RouteCandidate run the largest selected candidate of
 // three apps, whose head and operand buses reach hundreds of sinks: the
-// shape the CAD flow actually places.
+// shape the CAD flow actually places. BM_Corpus places, routes and times
+// every distinct design that cold specialization implements, with `place`
+// and with `place_greedy` (its seed), and sums quality over the corpus.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
-#include "apps/app.hpp"
+#include "common.hpp"
 #include "fpga/place.hpp"
 #include "fpga/route.hpp"
-#include "jit/pipeline.hpp"
+#include "fpga/sta.hpp"
 #include "support/rng.hpp"
+#include "support/stopwatch.hpp"
 
 using namespace jitise;
 
@@ -67,33 +70,14 @@ void BM_Route(benchmark::State& state) {
 }
 BENCHMARK(BM_Route)->RangeMultiplier(2)->Range(32, 512)->Complexity();
 
-/// The largest (by cell count) selected candidate of `app_name`, synthesized
-/// as the CAD flow does, with the flow's per-candidate placer seed.
-struct Candidate {
-  fpga::MappedDesign design;
-  fpga::PlacerConfig placer;
-};
-
-Candidate largest_selected_candidate(const char* app_name) {
-  const apps::App app = apps::build_app(app_name);
-  vm::Machine machine(app.module);
-  machine.run(app.entry, app.datasets[0].args, 1ull << 30);
-  const jit::SpecializerConfig cfg;
-  hwlib::CircuitDb db;
-  jit::ObserverList observers;
-  const jit::SearchArtifact art = jit::CandidateSearchStage(cfg).run(
-      app.module, machine.profile(), db, observers);
-  Candidate best;
-  for (std::size_t idx : art.selection.chosen) {
-    const auto project = datapath::create_project(
-        *art.graphs[art.graph_of[idx]], art.scored[idx].candidate, db, "ci");
-    auto design = fpga::synthesize_top(project.netlist);
-    if (design.cell_count() <= best.design.cell_count()) continue;
-    best.design = std::move(design);
-    best.placer = cfg.flow.placer;
-    best.placer.seed ^= project.signature;
-  }
-  return best;
+/// The largest (by cell count) selected candidate of `app_name`.
+bench::SelectedDesign largest_selected_candidate(const char* app_name) {
+  std::vector<bench::SelectedDesign> designs =
+      bench::selected_designs({app_name});
+  return std::move(*std::max_element(
+      designs.begin(), designs.end(), [](const auto& a, const auto& b) {
+        return a.design.cell_count() < b.design.cell_count();
+      }));
 }
 
 void shape_counters(benchmark::State& state, const fpga::MappedDesign& d) {
@@ -106,7 +90,7 @@ void shape_counters(benchmark::State& state, const fpga::MappedDesign& d) {
 }
 
 void BM_PlaceCandidate(benchmark::State& state, const char* app) {
-  const Candidate c = largest_selected_candidate(app);
+  const bench::SelectedDesign c = largest_selected_candidate(app);
   const fpga::Fabric fabric;
   std::uint64_t moves = 0;
   for (auto _ : state) {
@@ -126,7 +110,7 @@ BENCHMARK_CAPTURE(BM_PlaceCandidate, ammp, "188.ammp")
     ->Unit(benchmark::kMillisecond);
 
 void BM_RouteCandidate(benchmark::State& state, const char* app) {
-  const Candidate c = largest_selected_candidate(app);
+  const bench::SelectedDesign c = largest_selected_candidate(app);
   const fpga::Fabric fabric;
   const auto placement = fpga::place(c.design, fabric, c.placer);
   std::uint64_t wirelength = 0;
@@ -143,6 +127,53 @@ BENCHMARK_CAPTURE(BM_RouteCandidate, whetstone, "whetstone")
 BENCHMARK_CAPTURE(BM_RouteCandidate, namd, "444.namd")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RouteCandidate, ammp, "188.ammp")
+    ->Unit(benchmark::kMillisecond);
+
+/// Places every design cold specialization implements with `place` (or
+/// `place_greedy` when `greedy`), then routes and times it. Counters are per
+/// pass over the corpus.
+void BM_Corpus(benchmark::State& state, bool greedy) {
+  const std::vector<bench::SelectedDesign> corpus = bench::cold_designs();
+  const fpga::Fabric fabric;
+  double place_ms = 0, route_ms = 0, sta_ms = 0, hpwl = 0, critical_ns = 0;
+  std::uint64_t wirelength = 0, failures = 0;
+  for (auto _ : state) {
+    for (const bench::SelectedDesign& c : corpus) {
+      support::Stopwatch sw;
+      const fpga::Placement placement =
+          greedy ? fpga::place_greedy(c.design, fabric)
+                 : fpga::place(c.design, fabric, c.placer);
+      place_ms += sw.elapsed_ms();
+      sw.reset();
+      const fpga::RoutingResult routing =
+          fpga::route(c.design, fabric, placement);
+      route_ms += sw.elapsed_ms();
+      sw.reset();
+      const fpga::TimingReport timing =
+          fpga::analyze_timing(c.design, fabric, placement, routing);
+      sta_ms += sw.elapsed_ms();
+      hpwl += placement.hpwl;
+      wirelength += routing.total_wirelength;
+      failures += routing.success ? 0 : 1;
+      critical_ns += timing.critical_path_ns;
+      benchmark::DoNotOptimize(timing);
+    }
+  }
+  auto per_pass = [](double total) {
+    return benchmark::Counter(total, benchmark::Counter::kAvgIterations);
+  };
+  state.counters["designs"] = static_cast<double>(corpus.size());
+  state.counters["place_ms"] = per_pass(place_ms);
+  state.counters["route_ms"] = per_pass(route_ms);
+  state.counters["sta_ms"] = per_pass(sta_ms);
+  state.counters["hpwl"] = per_pass(hpwl);
+  state.counters["routed_wl"] = per_pass(static_cast<double>(wirelength));
+  state.counters["critical_ns"] = per_pass(critical_ns);
+  state.counters["route_failures"] = per_pass(static_cast<double>(failures));
+}
+BENCHMARK_CAPTURE(BM_Corpus, place, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Corpus, greedy, true)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

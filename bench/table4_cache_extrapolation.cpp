@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
   for (const bench::AppRun& run : runs) {
     jit::SpecializerConfig config;
     config.flow.runtime = cad::CadRuntimeModel::coarse_grained_overlay();
-    config.flow.fast_placer = true;
     vm::Machine machine(run.app.module);
     machine.run(run.app.entry, run.app.datasets[0].args, 1ull << 30);
     const auto spec = jit::specialize(run.app.module, machine.profile(), config);

@@ -48,9 +48,7 @@ ImplementationResult implement_candidate(const datapath::CadProject& project,
   sw.reset();
   fpga::PlacerConfig placer = config.placer;
   placer.seed ^= seed;  // deterministic per candidate
-  const fpga::Placement placement =
-      config.fast_placer ? fpga::place_greedy(design, fabric)
-                         : fpga::place(design, fabric, placer);
+  const fpga::Placement placement = fpga::place(design, fabric, placer);
   result.placement_hpwl = placement.hpwl;
   result.map =
       StageReport{"map", model.map_seconds(result.cells, seed), sw.elapsed_ms()};

@@ -63,10 +63,6 @@ struct ToolFlowConfig {
   fpga::PlacerConfig placer;
   fpga::RouterConfig router;
   fpga::DelayModel delays;
-  /// Use the greedy constructive placer instead of simulated annealing —
-  /// the "customized, significantly faster tools" of the paper's §VI-B
-  /// (trades some wirelength/timing for an order of magnitude less work).
-  bool fast_placer = false;
 };
 
 /// Runs the complete implementation flow for one project.

@@ -33,35 +33,99 @@ struct Csr {
   }
 };
 
-/// A net's bounding box; its half perimeter is the net's HPWL.
+/// A net's bounding box and the number of its pins on each edge; its half
+/// perimeter is the net's HPWL.
 struct Box {
   std::uint16_t xmin = 0, xmax = 0, ymin = 0, ymax = 0;
+  std::uint16_t on_xmin = 0, on_xmax = 0, on_ymin = 0, on_ymax = 0;
 
   [[nodiscard]] std::int64_t hpwl() const {
     return (xmax - xmin) + (ymax - ymin);
   }
-  /// True when `p` lies on no edge of the box, so removing a pin at `p`
-  /// cannot shrink it.
-  [[nodiscard]] bool strictly_contains(Coord p) const {
-    return xmin < p.x && p.x < xmax && ymin < p.y && p.y < ymax;
-  }
-  void extend(Coord p) {
-    xmin = std::min(xmin, p.x);
-    xmax = std::max(xmax, p.x);
-    ymin = std::min(ymin, p.y);
-    ymax = std::max(ymax, p.y);
-  }
 };
 
-/// Nets with at most this many pins are rescanned on every move.
+/// Nets with at most this many pins are rescanned on every move: that is
+/// cheaper than the poorly predicted edge-count update.
 constexpr std::size_t kAlwaysRescanPins = 8;
 
+/// The anneal's schedule. Temperatures are in mean net HPWLs of the greedy
+/// seed: starting low keeps the seed's structure, which a hot start would
+/// scatter.
+constexpr double kStartTemp = 0.05;
+constexpr double kStopTemp = 0.005;
+constexpr std::uint64_t kMovesPerCell = 3;  // per temperature
+/// The move range grows above this acceptance rate and shrinks below it.
+constexpr double kTargetAcceptance = 0.44;
+
+/// VPR's cooling: fast while nearly every move is accepted (the temperature
+/// is still too high to matter) or nearly none is (frozen), slow in between.
+double cooling_factor(double acceptance) {
+  if (acceptance > 0.96) return 0.5;
+  if (acceptance > 0.8) return 0.9;
+  if (acceptance > 0.15) return 0.95;
+  return 0.8;
+}
+
+/// Index of the site kind a cell of `kind` occupies, in SiteKind's order
+/// (0=CLB, 1=DSP, 2=BRAM).
+int site_kind_index(hwlib::CellKind kind) {
+  switch (kind) {
+    case hwlib::CellKind::Dsp: return static_cast<int>(SiteKind::Dsp);
+    case hwlib::CellKind::Bram: return static_cast<int>(SiteKind::Bram);
+    default: return static_cast<int>(SiteKind::Clb);
+  }
+}
+
+/// The box of the distinct pin cells `cells`, edge counts included.
 Box bounding_box(std::span<const std::uint32_t> cells,
                  const std::vector<Coord>& loc) {
   const Coord first = loc[cells.front()];
   Box box{first.x, first.x, first.y, first.y};
-  for (std::uint32_t c : cells.subspan(1)) box.extend(loc[c]);
+  for (std::uint32_t c : cells.subspan(1)) {
+    box.xmin = std::min(box.xmin, loc[c].x);
+    box.xmax = std::max(box.xmax, loc[c].x);
+    box.ymin = std::min(box.ymin, loc[c].y);
+    box.ymax = std::max(box.ymax, loc[c].y);
+  }
+  for (std::uint32_t c : cells) {
+    box.on_xmin += loc[c].x == box.xmin;
+    box.on_xmax += loc[c].x == box.xmax;
+    box.on_ymin += loc[c].y == box.ymin;
+    box.on_ymax += loc[c].y == box.ymax;
+  }
   return box;
+}
+
+/// Moves one pin from `from` to `to` along one axis of a box spanning
+/// [lo, hi], with `on_lo`/`on_hi` pins on its edges (Betz & Rose, FPL'97).
+/// Returns false when the pin was the last on an edge it leaves: that edge
+/// may move inward, so the box must be rescanned.
+bool move_pin(std::uint16_t from, std::uint16_t to, std::uint16_t& lo,
+              std::uint16_t& on_lo, std::uint16_t& hi, std::uint16_t& on_hi) {
+  if (to < from) {
+    if (from == hi) {
+      if (on_hi == 1) return false;
+      --on_hi;
+    }
+    if (to < lo) {
+      lo = to;
+      on_lo = 1;
+    } else if (to == lo) {
+      ++on_lo;
+    }
+  } else if (to > from) {
+    if (from == lo) {
+      if (on_lo == 1) return false;
+      --on_lo;
+    }
+    if (to > hi) {
+      hi = to;
+      on_hi = 1;
+    } else if (to == hi) {
+      ++on_hi;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -91,59 +155,48 @@ bool Placement::legal(const MappedDesign& design, const Fabric& fabric) const {
 
 Placement place(const MappedDesign& design, const Fabric& fabric,
                 const PlacerConfig& config) {
-  check_fit(design, fabric);
-  support::Xoshiro256 rng(config.seed);
+  Placement pl = place_greedy(design, fabric);
   const std::size_t n = design.cells.size();
   const std::size_t num_nets = design.nets.size();
+  support::Xoshiro256 rng(config.seed);
 
-  Placement pl;
-  pl.location.resize(n);
-
-  // Deterministic initial placement: per site kind, scatter cells over the
-  // kind's site list with a seeded shuffle.
-  struct Pool {
-    std::vector<Coord> sites;
-    std::size_t next = 0;
-  };
-  Pool pools[3];  // indexed by effective kind: 0=CLB, 1=DSP, 2=BRAM
-  auto pool_of = [](hwlib::CellKind k) {
-    switch (k) {
-      case hwlib::CellKind::Dsp: return 1;
-      case hwlib::CellKind::Bram: return 2;
-      default: return 0;
-    }
-  };
-  pools[0].sites = fabric.sites_for(hwlib::CellKind::Cluster);
-  pools[1].sites = fabric.sites_for(hwlib::CellKind::Dsp);
-  pools[2].sites = fabric.sites_for(hwlib::CellKind::Bram);
-  for (Pool& pool : pools)
-    for (std::size_t i = pool.sites.size(); i > 1; --i)
-      std::swap(pool.sites[i - 1], pool.sites[rng.below(i)]);
+  // Site columns of each kind in ascending x, and per kind the number of
+  // its columns left of each x, so the kind's columns inside [x0, x1] are
+  // cols[k][left[k][x0] .. left[k][x1 + 1]).
+  const std::uint16_t w = fabric.width(), h = fabric.height();
+  std::vector<std::uint16_t> cols[3];
+  std::vector<std::uint32_t> left[3];
+  for (int k = 0; k < 3; ++k) left[k].push_back(0);
+  for (std::uint16_t x = 0; x < w; ++x) {
+    const int kind = static_cast<int>(fabric.site(x, 0));
+    cols[kind].push_back(x);
+    for (int k = 0; k < 3; ++k)
+      left[k].push_back(static_cast<std::uint32_t>(cols[k].size()));
+  }
+  std::vector<std::uint8_t> pool(n);
   for (hwlib::CellId c = 0; c < n; ++c)
-    pl.location[c] = pools[pool_of(design.cells[c].kind)].sites[
-        pools[pool_of(design.cells[c].kind)].next++];
+    pool[c] = static_cast<std::uint8_t>(site_kind_index(design.cells[c].kind));
 
   // Occupancy map for swap moves.
-  std::vector<std::int64_t> occupant(
-      static_cast<std::size_t>(fabric.width()) * fabric.height(), -1);
+  std::vector<std::int64_t> occupant(static_cast<std::size_t>(w) * h, -1);
   auto site_index = [&](Coord p) {
-    return static_cast<std::size_t>(p.y) * fabric.width() + p.x;
+    return static_cast<std::size_t>(p.y) * w + p.x;
   };
   for (hwlib::CellId c = 0; c < n; ++c) occupant[site_index(pl.location[c])] = c;
 
-  // Pins of each net (driver first, then the sinks as listed) and the nets
-  // touching each cell, flattened into CSR rows. A driver lists its net
-  // once and every sink entry of another cell lists it once more: a net
-  // listed k times for a cell counts k times in that cell's move delta.
+  // The distinct pin cells of each net (driver first) and the nets touching
+  // each cell, flattened into CSR rows: a cell a net lists twice is one pin
+  // of it, so a move visits each of its cell's nets once.
   std::vector<std::vector<std::uint32_t>> cell_nets(n);
   Csr pins;
   for (std::uint32_t ni = 0; ni < num_nets; ++ni) {
-    const MappedNet& net = design.nets[ni];
-    cell_nets[net.driver].push_back(ni);
-    for (hwlib::CellId s : net.sinks)
-      if (s != net.driver) cell_nets[s].push_back(ni);
-    pins.items.push_back(net.driver);
-    pins.items.insert(pins.items.end(), net.sinks.begin(), net.sinks.end());
+    auto add_pin = [&](hwlib::CellId cell) {
+      if (!cell_nets[cell].empty() && cell_nets[cell].back() == ni) return;
+      cell_nets[cell].push_back(ni);
+      pins.items.push_back(cell);
+    };
+    add_pin(design.nets[ni].driver);
+    for (hwlib::CellId s : design.nets[ni].sinks) add_pin(s);
     pins.offset.push_back(static_cast<std::uint32_t>(pins.items.size()));
   }
   Csr nets_of_cell;
@@ -154,88 +207,91 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
         static_cast<std::uint32_t>(nets_of_cell.items.size()));
   }
 
-  // Incremental cost: every net's bounding box is kept for the whole run.
+  // Incremental cost: every net's box is kept for the whole run, and `cost`
+  // is the sum of their half perimeters.
   std::vector<Box> box(num_nets);
-  for (std::size_t ni = 0; ni < num_nets; ++ni)
+  std::int64_t cost = 0;
+  for (std::size_t ni = 0; ni < num_nets; ++ni) {
     box[ni] = bounding_box(pins.row(ni), pl.location);
-
-  const double cost = total_hpwl(design, pl.location);
-  const double avg_net =
-      design.nets.empty() ? 1.0 : cost / static_cast<double>(design.nets.size());
-  double temp = std::max(0.5, config.initial_temp * std::max(1.0, avg_net));
-
-  // New boxes of the nets the current move touches, committed on accept.
-  std::vector<Box> next_box(num_nets);
-
-  // Cost delta of moving a -> pb (and occupant b -> pa if b >= 0), with the
-  // move already applied to pl.location. Sums HPWL(new box) - HPWL(old box)
-  // over the same net entries the from-scratch recomputation summed over;
-  // every term is an integer, so the double result is exactly its delta.
-  auto delta_for = [&](hwlib::CellId a, std::int64_t b, Coord pa, Coord pb) {
-    std::int64_t delta = 0;
-    // `cell` moved from `from` to `to`. If `from` was interior to the box,
-    // no edge moved inward: the box only grows to take in `to`. Otherwise
-    // rescan with the tentative locations. A net holding both swapped cells
-    // keeps its set of pin positions, and `to` already lies in its box, so
-    // the rule gives its (unchanged) box too. Small nets are always
-    // rescanned: that is cheaper than the poorly predicted interior test.
-    auto accumulate = [&](hwlib::CellId cell, Coord from, Coord to) {
-      for (std::uint32_t ni : nets_of_cell.row(cell)) {
-        const std::span<const std::uint32_t> net_pins = pins.row(ni);
-        Box moved = box[ni];
-        if (net_pins.size() > kAlwaysRescanPins &&
-            moved.strictly_contains(from))
-          moved.extend(to);
-        else
-          moved = bounding_box(net_pins, pl.location);
-        delta += moved.hpwl() - box[ni].hpwl();
-        next_box[ni] = moved;
-      }
-    };
-    accumulate(a, pa, pb);
-    if (b >= 0) accumulate(static_cast<hwlib::CellId>(b), pb, pa);
-    return static_cast<double>(delta);
-  };
-  auto commit = [&](hwlib::CellId cell) {
-    for (std::uint32_t ni : nets_of_cell.row(cell)) box[ni] = next_box[ni];
-  };
-
-  if (n > 0) {
-    while (temp > config.stop_temp * std::max(1.0, avg_net)) {
-      const std::uint64_t moves =
-          std::min(config.max_moves_per_temp,
-                   config.moves_per_cell_per_temp * static_cast<std::uint64_t>(n));
-      for (std::uint64_t m = 0; m < moves; ++m) {
-        ++pl.moves_tried;
-        const auto a = static_cast<hwlib::CellId>(rng.below(n));
-        const Pool& pool = pools[pool_of(design.cells[a].kind)];
-        const Coord pb = pool.sites[rng.below(pool.sites.size())];
-        const Coord pa = pl.location[a];
-        if (pa == pb) continue;
-        const std::int64_t b = occupant[site_index(pb)];
-        if (b >= 0 &&
-            pool_of(design.cells[static_cast<std::size_t>(b)].kind) !=
-                pool_of(design.cells[a].kind))
-          continue;  // incompatible swap (different column kinds)
-        pl.location[a] = pb;
-        if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pa;
-        const double delta = delta_for(a, b, pa, pb);
-        if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temp)) {
-          occupant[site_index(pb)] = a;
-          occupant[site_index(pa)] = b;
-          commit(a);
-          if (b >= 0) commit(static_cast<hwlib::CellId>(b));
-          ++pl.moves_accepted;
-        } else {
-          pl.location[a] = pa;
-          if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pb;
-        }
-      }
-      temp *= config.cooling;
-    }
+    cost += box[ni].hpwl();
   }
 
-  pl.hpwl = total_hpwl(design, pl.location);
+  // Moves `cell` to `to`, updates the boxes of its nets and returns the
+  // change in HPWL. A swap is two such moves in turn, so a net holding both
+  // cells sees two single-pin moves. `undo` keeps each changed box's old
+  // value, to restore on reject.
+  std::vector<std::pair<std::uint32_t, Box>> undo;
+  auto move_cell = [&](hwlib::CellId cell, Coord to) {
+    const Coord from = pl.location[cell];
+    pl.location[cell] = to;
+    std::int64_t delta = 0;
+    for (std::uint32_t ni : nets_of_cell.row(cell)) {
+      Box& bb = box[ni];
+      undo.emplace_back(ni, bb);
+      const std::int64_t before = bb.hpwl();
+      const std::span<const std::uint32_t> net_pins = pins.row(ni);
+      if (net_pins.size() <= kAlwaysRescanPins ||
+          !move_pin(from.x, to.x, bb.xmin, bb.on_xmin, bb.xmax, bb.on_xmax) ||
+          !move_pin(from.y, to.y, bb.ymin, bb.on_ymin, bb.ymax, bb.on_ymax))
+        bb = bounding_box(net_pins, pl.location);
+      delta += bb.hpwl() - before;
+    }
+    return delta;
+  };
+
+  // Low-temperature anneal from the greedy seed (Betz & Rose, FPL'97): the
+  // temperature spans kStartTemp..kStopTemp mean net HPWLs of the seed, and
+  // both the cooling factor and the move range follow the acceptance rate.
+  const double mean_net =
+      num_nets == 0 ? 0.0
+                    : static_cast<double>(cost) / static_cast<double>(num_nets);
+  const double max_rlim = std::max(w, h);
+  double rlim = max_rlim / 4.0;
+  const std::uint64_t moves = kMovesPerCell * static_cast<std::uint64_t>(n);
+  for (double temp = kStartTemp * mean_net; temp > kStopTemp * mean_net;) {
+    std::uint64_t tried = 0, accepted = 0;
+    const auto r = static_cast<int>(rlim);
+    for (std::uint64_t m = 0; m < moves; ++m) {
+      const auto a = static_cast<hwlib::CellId>(rng.below(n));
+      const Coord pa = pl.location[a];
+      // A site of a's kind within rlim of a, clamped to the region.
+      const std::vector<std::uint32_t>& kind_left = left[pool[a]];
+      const std::uint32_t lo = kind_left[std::max(0, pa.x - r)];
+      const std::uint32_t hi = kind_left[std::min(w - 1, pa.x + r) + 1];
+      const int y0 = std::max(0, pa.y - r), y1 = std::min(h - 1, pa.y + r);
+      const Coord pb{cols[pool[a]][lo + rng.below(hi - lo)],
+                     static_cast<std::uint16_t>(
+                         y0 + static_cast<int>(rng.below(y1 - y0 + 1)))};
+      if (pa == pb) continue;  // no move: neither tried nor accepted
+      ++tried;
+      const std::int64_t b = occupant[site_index(pb)];
+      undo.clear();
+      std::int64_t delta = move_cell(a, pb);
+      if (b >= 0) delta += move_cell(static_cast<hwlib::CellId>(b), pa);
+      if (delta <= 0 ||
+          rng.uniform() < std::exp(-static_cast<double>(delta) / temp)) {
+        occupant[site_index(pb)] = a;
+        occupant[site_index(pa)] = b;
+        cost += delta;
+        ++accepted;
+      } else {
+        for (auto it = undo.rbegin(); it != undo.rend(); ++it)
+          box[it->first] = it->second;
+        pl.location[a] = pa;
+        if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pb;
+      }
+    }
+    pl.moves_tried += tried;
+    pl.moves_accepted += accepted;
+    const double acceptance =
+        tried == 0 ? 0.0
+                   : static_cast<double>(accepted) / static_cast<double>(tried);
+    temp *= cooling_factor(acceptance);
+    rlim = std::clamp(rlim * (1.0 - kTargetAcceptance + acceptance), 1.0,
+                      max_rlim);
+  }
+
+  pl.hpwl = static_cast<double>(cost);
   return pl;
 }
 
@@ -260,34 +316,43 @@ Placement place_greedy(const MappedDesign& design, const Fabric& fabric) {
     }
   }
 
-  // Free-site lists per kind, kept sorted once; nearest-site search scans
-  // them (n and site counts are small at candidate scale).
-  auto kind_index = [](hwlib::CellKind k) {
-    switch (k) {
-      case hwlib::CellKind::Dsp: return 1;
-      case hwlib::CellKind::Bram: return 2;
-      default: return 0;
-    }
+  // Free rows of each site column, ascending, with the columns of each kind
+  // in ascending x. The free site nearest (cx, cy) is the nearest free row
+  // above or below cy in one of the kind's columns; ties go to the lowest x,
+  // then the lowest y.
+  struct Column {
+    std::uint16_t x = 0;
+    std::vector<std::uint16_t> free_rows;
   };
-  std::vector<Coord> free_sites[3] = {
-      fabric.sites_for(hwlib::CellKind::Cluster),
-      fabric.sites_for(hwlib::CellKind::Dsp),
-      fabric.sites_for(hwlib::CellKind::Bram)};
+  std::vector<Column> columns[3];
+  for (std::uint16_t x = 0; x < fabric.width(); ++x) {
+    Column col{x, std::vector<std::uint16_t>(fabric.height())};
+    for (std::uint16_t y = 0; y < fabric.height(); ++y) col.free_rows[y] = y;
+    columns[static_cast<int>(fabric.site(x, 0))].push_back(std::move(col));
+  }
 
   auto take_nearest = [&](int kind, double cx, double cy) {
-    std::vector<Coord>& sites = free_sites[kind];
-    std::size_t best = 0;
+    Column* best_col = nullptr;
+    std::vector<std::uint16_t>::iterator best_row;
     double best_d = 1e30;
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      const double dx = sites[i].x - cx, dy = sites[i].y - cy;
-      const double d = dx * dx + dy * dy;
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
+    for (Column& col : columns[kind]) {
+      std::vector<std::uint16_t>& rows = col.free_rows;
+      const auto above = std::lower_bound(rows.begin(), rows.end(), cy);
+      const double dx = col.x - cx;
+      auto consider = [&](std::vector<std::uint16_t>::iterator row) {
+        const double dy = *row - cy;
+        const double d = dx * dx + dy * dy;
+        if (d < best_d) {
+          best_d = d;
+          best_col = &col;
+          best_row = row;
+        }
+      };
+      if (above != rows.begin()) consider(above - 1);
+      if (above != rows.end()) consider(above);
     }
-    const Coord c = sites[best];
-    sites.erase(sites.begin() + static_cast<std::ptrdiff_t>(best));
+    const Coord c{best_col->x, *best_row};
+    best_col->free_rows.erase(best_row);
     return c;
   };
 
@@ -320,7 +385,8 @@ Placement place_greedy(const MappedDesign& design, const Fabric& fabric) {
         cx /= cnt;
         cy /= cnt;
       }
-      pl.location[c] = take_nearest(kind_index(design.cells[c].kind), cx, cy);
+      pl.location[c] =
+          take_nearest(site_kind_index(design.cells[c].kind), cx, cy);
       has_coords[c] = 1;
       for (hwlib::CellId nb : adj[c])
         if (!placed[nb]) {

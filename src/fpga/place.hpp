@@ -1,18 +1,20 @@
-// Simulated-annealing placement (the "MAP/PAR placement" step).
+// Placement (the "MAP/PAR placement" step).
 //
-// Classic VPR-style annealer: half-perimeter wirelength (HPWL) cost,
-// move = relocate a random cell to a random compatible site (swapping with
-// any occupant), geometric cooling, deterministic under a fixed seed.
+// `place` starts from `place_greedy`'s constructive placement and refines it
+// with a low-temperature anneal (VPR's schedule, Betz & Rose, FPL'97):
+// half-perimeter wirelength (HPWL) cost; a move relocates a random cell to
+// a random site of its kind within `rlim` of it (the window clamped to the
+// region), swapping with any occupant; the cooling factor and `rlim` adapt
+// to the acceptance rate, so moves stay local once few long ones succeed.
+// Deterministic for a given (design, fabric, seed).
 //
-// Move costs are incremental (VPR's bounding boxes, Betz & Rose, FPL'97):
-// each net keeps its bounding box for the whole run. A move whose cell sat
-// strictly inside a net's box only extends that box by the new position;
-// otherwise the net is rescanned, as are nets of at most 8 pins.
-// The delta sums HPWL(new box) - HPWL(old box) over the same per-cell net
-// lists, multiplicities included, that a from-scratch recomputation would
-// sum over. Every term is an integer, so each delta, each accept decision
-// and each random draw equals the from-scratch annealer's: placements and
-// counters are bit-identical to it.
+// Move costs are incremental (VPR's bounding boxes): each net keeps its box
+// and the number of its pins on each edge for the whole run, so a move
+// updates a box in O(1) unless its cell was the last pin on an edge it
+// leaves; then the net is rescanned, as are nets of at most 8 pins. A swap
+// is two single-cell moves in turn. Every term is an integer and each cell
+// counts once per net, so the tracked cost is exactly the placement's total
+// HPWL.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +27,11 @@ namespace jitise::fpga {
 
 struct PlacerConfig {
   std::uint64_t seed = 1;
-  double initial_temp = 2.0;       // relative to average net HPWL
-  double cooling = 0.92;
-  std::uint32_t moves_per_cell_per_temp = 12;
-  /// Caps moves per temperature step so very large candidates anneal in
-  /// bounded time (quality degrades gracefully, like a capped-effort VPR run).
-  std::uint64_t max_moves_per_temp = 40000;
-  double stop_temp = 0.005;
 };
 
 struct Placement {
   std::vector<Coord> location;  // per cell
-  double hpwl = 0.0;            // final cost
+  double hpwl = 0.0;            // total HPWL of `location`
   std::uint64_t moves_tried = 0;
   std::uint64_t moves_accepted = 0;
 
@@ -48,12 +43,10 @@ struct Placement {
 [[nodiscard]] Placement place(const MappedDesign& design, const Fabric& fabric,
                               const PlacerConfig& config = {});
 
-/// Greedy constructive placement — the "customized tools [that] work
-/// significantly faster" direction of the paper's §VI-B: cells are visited
-/// in BFS order over the netlist and dropped onto the free compatible site
+/// Greedy constructive placement, the seed of `place`: cells are visited in
+/// BFS order over the netlist and dropped onto the free compatible site
 /// nearest the centroid of their already-placed neighbours. One pass, no
-/// annealing; typically 1-2x the annealer's wirelength at a small fraction
-/// of its runtime (see the micro_fast_cad benchmark).
+/// annealing, no seed.
 [[nodiscard]] Placement place_greedy(const MappedDesign& design,
                                      const Fabric& fabric);
 

@@ -1,7 +1,5 @@
 #include "fpga/sta.hpp"
 
-#include <algorithm>
-#include <map>
 #include <vector>
 
 namespace jitise::fpga {
@@ -28,12 +26,23 @@ TimingReport analyze_timing(const MappedDesign& design, const Fabric& fabric,
   TimingReport report;
   const std::size_t n = design.cells.size();
 
-  // Wire delay per (net, sink): BFS depth over the routed tree from the
-  // driver tile; Manhattan distance as fallback when the net is intra-tile.
+  // Wire delay per (net, sink): the sink tile's depth on the net's routed
+  // tree, wire_hop_ns per hop from the driver tile; 0 when the sink shares
+  // the driver's tile.
   const std::uint16_t w = fabric.width();
   auto tile_of = [&](hwlib::CellId c) {
     const Coord p = placement.location[c];
     return static_cast<std::uint32_t>(p.y) * w + p.x;
+  };
+  // Endpoints of edge id tile*4 + dir, the routing graph's convention.
+  auto edge_to = [&](std::uint32_t eid) {
+    const std::uint32_t from = eid / 4;
+    switch (eid % 4) {
+      case 0: return from + 1;
+      case 1: return from - 1;
+      case 2: return from + w;
+      default: return from - w;
+    }
   };
 
   // Build cell adjacency (driver -> sink) with edge delays.
@@ -44,48 +53,36 @@ TimingReport analyze_timing(const MappedDesign& design, const Fabric& fabric,
   std::vector<std::vector<Arc>> arcs(n);
   std::vector<std::uint32_t> indegree(n, 0);
 
+  // Tile depths of the current net: depth[t] holds only while
+  // reached[t] == ni + 1. Each tree tile has one incoming edge, so its depth
+  // is its parent's plus one hop. `route` lists each sink's path from the
+  // sink back to the tree, so a path's edges are buffered until the one
+  // leaving a tile already on the tree, then resolved from there outward.
+  const std::size_t num_tiles = static_cast<std::size_t>(w) * fabric.height();
+  std::vector<double> depth(num_tiles, 0.0);
+  std::vector<std::size_t> reached(num_tiles, 0);
+  std::vector<std::uint32_t> path;
   for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
     const MappedNet& net = design.nets[ni];
-    // Tree depth per tile.
-    std::map<std::uint32_t, double> depth;
+    const std::size_t stamp = ni + 1;
+    reached[tile_of(net.driver)] = stamp;
     depth[tile_of(net.driver)] = 0.0;
     if (ni < routing.nets.size()) {
-      // Edges are (from, to); relax until fixpoint (tree, so <= E passes).
-      const auto& edges = routing.nets[ni].edges;
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        for (std::uint32_t eid : edges) {
-          // Reconstruct endpoints from the routing graph convention:
-          // edge id = tile*4 + dir.
-          const std::uint32_t from = eid / 4;
-          const unsigned dir = eid % 4;
-          std::uint32_t to = from;
-          const std::uint32_t x = from % w, y = from / w;
-          switch (dir) {
-            case 0: to = y * w + (x + 1); break;
-            case 1: to = y * w + (x - 1); break;
-            case 2: to = (y + 1) * w + x; break;
-            case 3: to = (y - 1) * w + x; break;
-          }
-          const auto it = depth.find(from);
-          if (it != depth.end()) {
-            const double d = it->second + delays.wire_hop_ns;
-            auto [jt, inserted] = depth.emplace(to, d);
-            if (!inserted && d < jt->second) {
-              jt->second = d;
-              changed = true;
-            } else if (inserted) {
-              changed = true;
-            }
-          }
+      path.clear();
+      for (std::uint32_t eid : routing.nets[ni].edges) {
+        path.push_back(eid);
+        if (reached[eid / 4] != stamp) continue;
+        for (auto it = path.rbegin(); it != path.rend(); ++it) {
+          const std::uint32_t to = edge_to(*it);
+          depth[to] = depth[*it / 4] + delays.wire_hop_ns;
+          reached[to] = stamp;
         }
+        path.clear();
       }
     }
     for (hwlib::CellId s : net.sinks) {
-      const auto it = depth.find(tile_of(s));
-      const double wire = it != depth.end() ? it->second : 0.0;
-      arcs[net.driver].push_back(Arc{s, wire});
+      const std::uint32_t t = tile_of(s);
+      arcs[net.driver].push_back(Arc{s, reached[t] == stamp ? depth[t] : 0.0});
       ++indegree[s];
     }
   }

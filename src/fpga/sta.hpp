@@ -28,7 +28,9 @@ struct TimingReport {
 
 /// Longest-path analysis. Wire delay of a net is hops x wire_hop_ns where
 /// hops is the routed path length from the driver to the specific sink
-/// (approximated by the net's tree depth toward that sink).
+/// (approximated by the net's tree depth toward that sink). `routing` is
+/// `route`'s result for `placement`: its edge order (each sink's path
+/// listed from the sink back to the tree) is what the depths are built in.
 [[nodiscard]] TimingReport analyze_timing(const MappedDesign& design,
                                           const Fabric& fabric,
                                           const Placement& placement,

@@ -1,39 +1,22 @@
-// Test-only reference implementations of the placer and router.
+// Test-only reference implementation of the router.
 //
-// `reference::place` and `reference::route` compute everything from
-// scratch: the annealer recomputes every touched net's HPWL before and
-// after each move, and the router allocates a fresh distance map and seeds
-// its heap with the whole tree for every sink. `fpga::place` and
-// `fpga::route` compute the same results incrementally, and the
-// differential tests in fpga_test.cpp hold them to bit-identical output.
-// Keep these bodies unchanged: they are the specification.
+// `reference::route` computes everything from scratch: it allocates a fresh
+// distance map and seeds its heap with the whole tree for every sink.
+// `fpga::route` computes the same result incrementally, and the
+// differential test in fpga_test.cpp holds it to bit-identical output.
+// Keep this body unchanged: it is the specification.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <set>
 #include <vector>
 
-#include "fpga/place.hpp"
 #include "fpga/route.hpp"
-#include "support/rng.hpp"
 
 namespace jitise::fpga::reference {
 
 namespace detail {
-
-inline double net_hpwl(const MappedNet& net, const std::vector<Coord>& loc) {
-  std::uint16_t xmin = loc[net.driver].x, xmax = xmin;
-  std::uint16_t ymin = loc[net.driver].y, ymax = ymin;
-  for (hwlib::CellId s : net.sinks) {
-    xmin = std::min(xmin, loc[s].x);
-    xmax = std::max(xmax, loc[s].x);
-    ymin = std::min(ymin, loc[s].y);
-    ymax = std::max(ymax, loc[s].y);
-  }
-  return static_cast<double>(xmax - xmin) + static_cast<double>(ymax - ymin);
-}
 
 /// Flat grid routing graph: 4 directed edges per tile (to N/S/E/W).
 class RoutingGraph {
@@ -81,120 +64,6 @@ class RoutingGraph {
 };
 
 }  // namespace detail
-
-inline Placement place(const MappedDesign& design, const Fabric& fabric,
-                       const PlacerConfig& config) {
-  check_fit(design, fabric);
-  support::Xoshiro256 rng(config.seed);
-  const std::size_t n = design.cells.size();
-
-  Placement pl;
-  pl.location.resize(n);
-
-  // Deterministic initial placement: per site kind, scatter cells over the
-  // kind's site list with a seeded shuffle.
-  struct Pool {
-    std::vector<Coord> sites;
-    std::size_t next = 0;
-  };
-  Pool pools[3];  // indexed by effective kind: 0=CLB, 1=DSP, 2=BRAM
-  auto pool_of = [](hwlib::CellKind k) {
-    switch (k) {
-      case hwlib::CellKind::Dsp: return 1;
-      case hwlib::CellKind::Bram: return 2;
-      default: return 0;
-    }
-  };
-  pools[0].sites = fabric.sites_for(hwlib::CellKind::Cluster);
-  pools[1].sites = fabric.sites_for(hwlib::CellKind::Dsp);
-  pools[2].sites = fabric.sites_for(hwlib::CellKind::Bram);
-  for (Pool& pool : pools)
-    for (std::size_t i = pool.sites.size(); i > 1; --i)
-      std::swap(pool.sites[i - 1], pool.sites[rng.below(i)]);
-  for (hwlib::CellId c = 0; c < n; ++c)
-    pl.location[c] = pools[pool_of(design.cells[c].kind)].sites[
-        pools[pool_of(design.cells[c].kind)].next++];
-
-  // Occupancy map for swap moves.
-  std::vector<std::int64_t> occupant(
-      static_cast<std::size_t>(fabric.width()) * fabric.height(), -1);
-  auto site_index = [&](Coord p) {
-    return static_cast<std::size_t>(p.y) * fabric.width() + p.x;
-  };
-  for (hwlib::CellId c = 0; c < n; ++c) occupant[site_index(pl.location[c])] = c;
-
-  // Incremental cost bookkeeping: nets touching a cell.
-  std::vector<std::vector<std::uint32_t>> nets_of_cell(n);
-  for (std::uint32_t ni = 0; ni < design.nets.size(); ++ni) {
-    const MappedNet& net = design.nets[ni];
-    nets_of_cell[net.driver].push_back(ni);
-    for (hwlib::CellId s : net.sinks)
-      if (s != net.driver) nets_of_cell[s].push_back(ni);
-  }
-
-  double cost = total_hpwl(design, pl.location);
-  const double avg_net =
-      design.nets.empty() ? 1.0 : cost / static_cast<double>(design.nets.size());
-  double temp = std::max(0.5, config.initial_temp * std::max(1.0, avg_net));
-
-  auto delta_for = [&](hwlib::CellId a, std::int64_t b, Coord pa, Coord pb) {
-    // Cost delta of moving a -> pb (and occupant b -> pa if b >= 0).
-    double before = 0.0, after = 0.0;
-    auto accumulate = [&](hwlib::CellId cell) {
-      for (std::uint32_t ni : nets_of_cell[cell])
-        before += detail::net_hpwl(design.nets[ni], pl.location);
-    };
-    accumulate(a);
-    if (b >= 0) accumulate(static_cast<hwlib::CellId>(b));
-    pl.location[a] = pb;
-    if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pa;
-    auto accumulate_after = [&](hwlib::CellId cell) {
-      for (std::uint32_t ni : nets_of_cell[cell])
-        after += detail::net_hpwl(design.nets[ni], pl.location);
-    };
-    accumulate_after(a);
-    if (b >= 0) accumulate_after(static_cast<hwlib::CellId>(b));
-    // Shared nets are double counted identically on both sides; fine for a
-    // delta. Restore; caller commits if accepted.
-    pl.location[a] = pa;
-    if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pb;
-    return after - before;
-  };
-
-  if (n > 0) {
-    while (temp > config.stop_temp * std::max(1.0, avg_net)) {
-      const std::uint64_t moves =
-          std::min(config.max_moves_per_temp,
-                   config.moves_per_cell_per_temp * static_cast<std::uint64_t>(n));
-      for (std::uint64_t m = 0; m < moves; ++m) {
-        ++pl.moves_tried;
-        const auto a = static_cast<hwlib::CellId>(rng.below(n));
-        const Pool& pool = pools[pool_of(design.cells[a].kind)];
-        const Coord pb = pool.sites[rng.below(pool.sites.size())];
-        const Coord pa = pl.location[a];
-        if (pa == pb) continue;
-        const std::int64_t b = occupant[site_index(pb)];
-        if (b >= 0 &&
-            pool_of(design.cells[static_cast<std::size_t>(b)].kind) !=
-                pool_of(design.cells[a].kind))
-          continue;  // incompatible swap (different column kinds)
-        const double delta = delta_for(a, b, pa, pb);
-        if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temp)) {
-          pl.location[a] = pb;
-          occupant[site_index(pb)] = a;
-          occupant[site_index(pa)] = b;
-          if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pa;
-          cost += delta;
-          ++pl.moves_accepted;
-        }
-      }
-      temp *= config.cooling;
-    }
-  }
-
-  pl.hpwl = total_hpwl(design, pl.location);
-  return pl;
-}
 
 inline RoutingResult route(const MappedDesign& design, const Fabric& fabric,
                            const Placement& placement,
