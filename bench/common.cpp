@@ -207,8 +207,8 @@ std::vector<SelectedDesign> selected_designs(
     machine.run(app.entry, app.datasets[0].args, 1ull << 30);
     hwlib::CircuitDb db;
     jit::PipelineObserver quiet;
-    const jit::SearchArtifact art = jit::CandidateSearchStage(config).run(
-        app.module, machine.profile(), db, quiet);
+    const jit::SearchArtifact art = jit::search_candidates(
+        config, app.module, machine.profile(), db, quiet);
     for (std::size_t idx : art.selection.chosen) {
       const auto project = datapath::create_project(
           *art.graphs[art.graph_of[idx]], art.scored[idx].candidate, db,

@@ -20,8 +20,7 @@
 // like a popular module specialized by many tenants at once — and otherwise a
 // fresh unique variant. Overlapping duplicates exercise the server's
 // in-flight coalescing tier; the final report prints how many submissions
-// coalesced versus ran the pipeline. --no-coalesce disables the tier for a
-// differential run against the same schedule.
+// coalesced versus ran the pipeline.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -51,7 +50,6 @@ struct LoadOptions {
   unsigned arrival_us = 200;  // mean inter-submit gap per tenant
   double deadline_ms = 0.0;   // per-request service deadline (0 = none)
   double dup_rate = 0.0;      // probability a request repeats a prior payload
-  bool coalesce = true;       // server-side in-flight coalescing tier
   std::string suite = "classic";    // classic | micro | all
   std::string selector = "greedy";  // greedy | knapsack | isegen
   std::uint64_t isegen_iters = 0;   // 0 keeps the IsegenConfig default
@@ -65,7 +63,7 @@ void usage(const char* prog) {
   std::printf(
       "usage: %s [--tenants N] [--requests N] [--workers N] [--sessions N]\n"
       "          [--queue-cap N] [--arrival-us N] [--deadline-ms D]\n"
-      "          [--dup-rate P] [--no-coalesce] [--suite NAME]\n"
+      "          [--dup-rate P] [--suite NAME]\n"
       "          [--selector NAME] [--isegen-iters N] [--seed S]\n"
       "          [--journal PATH] [--fsync] [--trace] [--help]\n"
       "  --tenants N     concurrent tenants (default 4)\n"
@@ -78,7 +76,6 @@ void usage(const char* prog) {
       "  --deadline-ms D service deadline per request (default none)\n"
       "  --dup-rate P    fraction of requests repeating a prior payload,\n"
       "                  Zipf-skewed toward popular signatures (default 0)\n"
-      "  --no-coalesce   disable the in-flight request-coalescing tier\n"
       "  --suite NAME    request mix: classic (default, the four embedded\n"
       "                  apps), micro (the eight irregular SPECInt-micro\n"
       "                  kernels), or all (both)\n"
@@ -206,7 +203,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    else if (arg == "--no-coalesce") { opt.coalesce = false; }
     else if (arg == "--suite" && i + 1 < argc) { opt.suite = argv[++i]; }
     else if (arg == "--selector" && i + 1 < argc) { opt.selector = argv[++i]; }
     else if (arg == "--isegen-iters") { value(v); opt.isegen_iters = v; }
@@ -257,7 +253,6 @@ int main(int argc, char** argv) {
   config.workers = opt.workers;
   config.max_sessions = opt.sessions;
   config.queue_capacity = opt.queue_cap;
-  config.coalesce_requests = opt.coalesce;
   if (opt.selector == "greedy") {
     config.specializer.selector = jit::SpecializerConfig::Selector::Greedy;
   } else if (opt.selector == "knapsack") {

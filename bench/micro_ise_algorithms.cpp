@@ -100,8 +100,8 @@ AppCandidatePool& isegen_pool() {
       const apps::App app = apps::build_app(name);
       vm::Machine machine(app.module);
       machine.run(app.entry, app.datasets[0].args, 1ull << 30);
-      jit::SearchArtifact art = jit::CandidateSearchStage(p->cfg).run(
-          app.module, machine.profile(), db, obs);
+      jit::SearchArtifact art = jit::search_candidates(
+          p->cfg, app.module, machine.profile(), db, obs);
       for (std::size_t i = 0; i < art.scored.size(); ++i) {
         p->art.scored.push_back(std::move(art.scored[i]));
         p->art.graph_of.push_back(p->art.graphs.size() + art.graph_of[i]);

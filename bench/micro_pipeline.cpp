@@ -49,14 +49,13 @@ void BM_CandidateSearch(benchmark::State& state) {
   jit::SpecializerConfig config;
   config.prune = ise::PruneConfig::none();
   config.implement_hardware = false;
-  const jit::CandidateSearchStage search(config);
   jit::PipelineObserver quiet;  // no-op sink
   hwlib::CircuitDb db;  // shared and warm across iterations, as in the JIT
 
   std::size_t candidates = 0;
   for (auto _ : state) {
     const jit::SearchArtifact art =
-        search.run(prog.module, prog.profile, db, quiet);
+        jit::search_candidates(config, prog.module, prog.profile, db, quiet);
     candidates = art.scored.size();
     benchmark::DoNotOptimize(art);
   }

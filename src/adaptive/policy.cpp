@@ -23,15 +23,14 @@ WindowBenefit evaluate_window_benefit(
     std::span<const std::uint64_t> installed,
     const jit::SpecializerConfig& config, hwlib::CircuitDb& db,
     estimation::EstimateCache* estimates) {
-  // The pipeline's own search stage, priced with the greedy selector
+  // The pipeline's own candidate search, priced with the greedy selector
   // whatever selector the server runs: the fresh side of the comparison is
   // the paper's heuristic, and it stays deterministic and cheap.
   jit::SpecializerConfig greedy = config;
   greedy.selector = jit::SpecializerConfig::Selector::Greedy;
   jit::PipelineObserver quiet;
   const jit::SearchArtifact art =
-      jit::CandidateSearchStage(greedy).run(module, window, db, quiet,
-                                            estimates);
+      jit::search_candidates(greedy, module, window, db, quiet, estimates);
 
   WindowBenefit out;
   const std::unordered_set<std::uint64_t> have(installed.begin(),

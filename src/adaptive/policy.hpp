@@ -52,7 +52,7 @@ struct WindowBenefit {
 };
 
 /// Prices `installed` candidate signatures under `window`: runs the
-/// pipeline's jit::CandidateSearchStage (prune -> identify -> estimate) with
+/// pipeline's jit::search_candidates (prune -> identify -> estimate) with
 /// the greedy selector, whatever `config.selector` says, reusing the shared
 /// EstimateCache so repeated pricing of recurring phases is nearly free.
 /// Deterministic; never runs CAD.

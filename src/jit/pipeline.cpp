@@ -1,16 +1,16 @@
-// SpecializationPipeline — composes the four ASIP-SP stages and submits the
-// per-candidate CAD fan-out as `Phase::Cad` tasks on the thread pool.
+// SpecializationPipeline — runs the ASIP-SP phases in sequence and submits
+// the per-candidate CAD fan-out as `Phase::Cad` tasks on the thread pool.
 //
-// Concurrency model: the stages run in sequence. Candidate search runs
-// serially on the pipeline thread. Once it has produced the final
-// selection, the pipeline thread collects the sweep — one entry per
-// selected signature that is not already cache-resident — orders it by
-// estimated area, largest first, and submits it in that order; each task
-// writes its result into a pre-created slot with a stable address. The pool
-// starts tasks in submission order, so the longest CAD chains start first
-// and the short ones fill in behind them. Dispatch (slot creation, dedup,
-// cache probing, ordering) happens only on the pipeline thread; workers
-// write only into their own slot.
+// Concurrency model: candidate search runs serially on the pipeline thread.
+// Once it has produced the final selection, the pipeline thread collects the
+// sweep — one entry per selected signature that is not already
+// cache-resident — orders it by estimated area, largest first, and submits
+// it in that order; each task writes its result into the signature's
+// pre-created slot, whose address is stable. The pool starts tasks in
+// submission order, so the longest CAD chains start first and the short
+// ones fill in behind them. Dispatch (slot creation, dedup, cache probing,
+// ordering) happens only on the pipeline thread; workers write only into
+// their own slot.
 //
 // The pool is borrowed when the caller owns a long-lived one (the server's
 // shared pool); a direct call with a parallel config gets a private pool
@@ -18,18 +18,18 @@
 #include "jit/pipeline.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <optional>
-#include <unordered_map>
+#include <utility>
 
+#include "datapath/project.hpp"
 #include "support/stopwatch.hpp"
+#include "woolcano/rewriter.hpp"
 
 namespace jitise::jit {
 
 namespace {
 
-/// The pre-refactor naming scheme for selected candidates, kept verbatim so
-/// registry contents and reports stay byte-identical across the refactor.
+/// The registry name of the candidate at selection position `k`; reports
+/// and registry contents print it.
 std::string candidate_name(const ir::Module& module,
                            const ise::Candidate& cand, std::size_t k) {
   return "ci_" + module.name + "_f" + std::to_string(cand.function) + "_b" +
@@ -41,7 +41,6 @@ std::string candidate_name(const ir::Module& module,
 SpecializationResult SpecializationPipeline::run(const ir::Module& module,
                                                  const vm::Profile& profile) {
   hwlib::CircuitDb db;
-  PipelineObserver& obs = observers_;
 
   // `jobs = 1` forces serial execution. Otherwise a borrowed pool is used
   // whatever its width; without one, `jobs` (0 = hardware concurrency)
@@ -57,12 +56,11 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   // guarantee when the pool is borrowed and lives on); a private pool is
   // declared last, so its draining destructor runs while everything tasks
   // touch is still alive.
-  SearchArtifact art = search_.run(module, profile, db, obs, estimates_);
+  SearchArtifact art =
+      search_candidates(config_, module, profile, db, observers_, estimates_);
   std::vector<std::string> names(art.selection.chosen.size());
-  // Deque: stable element addresses while the pipeline thread appends;
-  // workers only ever touch their own pre-created slot.
-  std::deque<ImplementationArtifact> slots;
-  std::unordered_map<std::uint64_t, ImplementationArtifact*> by_sig;
+  // One slot per dispatched signature; each CAD task writes only its own.
+  CadResults dispatched;
   support::TaskGroup cad_group;
   std::optional<support::ThreadPool> owned;
 
@@ -73,21 +71,11 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   for (std::size_t k = 0; k < names.size(); ++k)
     names[k] = candidate_name(module, chosen(k).candidate, k);
 
-  // The Phase 2+3 chain for selection position `k`. Captures by reference
-  // only state declared before `cad_group`, so tasks may hold a copy.
-  const auto implement = [&](std::size_t k) {
-    const std::size_t idx = art.selection.chosen[k];
-    return implement_.run(
-        netlist_.run(*art.graphs[art.graph_of[idx]], art.scored[idx].candidate,
-                     db, names[k], obs),
-        obs);
-  };
-
   if (config_.implement_hardware) {
-    // Stage boundary: a request cancelled during (or right after) search
+    // Phase boundary: a request cancelled during (or right after) search
     // stops before committing to the dispatch sweep.
     config_.cancel.check();
-    obs.on_phase_enter(PipelinePhase::Implementation);
+    observers_.on_phase_enter(PipelinePhase::Implementation);
     const support::Stopwatch impl_timer;
     support::ThreadPool* pool = pool_;
     if (pool == nullptr && parallel) {
@@ -99,9 +87,9 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
     std::vector<std::size_t> sweep;
     for (std::size_t k = 0; k < names.size(); ++k) {
       const std::uint64_t sig = chosen(k).signature;
-      if (by_sig.count(sig) != 0) continue;
+      if (dispatched.count(sig) != 0) continue;
       if (cache_ != nullptr && cache_->contains(sig)) continue;
-      by_sig.emplace(sig, &slots.emplace_back());
+      dispatched.emplace(sig, std::nullopt);
       sweep.push_back(k);
     }
     // Largest estimated area first: CAD time grows with design size, and a
@@ -113,32 +101,29 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
                      });
     for (const std::size_t k : sweep) {
       const std::uint64_t sig = chosen(k).signature;
-      ImplementationArtifact* slot = by_sig.at(sig);
-      obs.on_candidate_dispatched(sig, /*speculative=*/false);
+      std::optional<cad::ImplementationResult>* slot = &dispatched.at(sig);
+      observers_.on_candidate_dispatched(sig, /*speculative=*/false);
+      // Captures by reference only state declared before `cad_group`.
       if (parallel)
         pool->submit(support::Phase::Cad, cad_group,
-                     [implement, k, slot] { *slot = implement(k); });
+                     [this, &art, &names, &db, k, slot] {
+                       *slot = implement(art, k, names[k], db);
+                     });
       else
-        *slot = implement(k);
+        *slot = implement(art, k, names[k], db);
     }
     if (parallel) cad_group.wait();
-    obs.on_phase_exit(PipelinePhase::Implementation, impl_timer.elapsed_ms());
+    observers_.on_phase_exit(PipelinePhase::Implementation,
+                             impl_timer.elapsed_ms());
   }
 
-  // Stage boundary: last check before the order-sensitive serial tail (the
+  // Phase boundary: last check before the order-sensitive serial tail (the
   // tail re-checks between candidates, never mid-mutation).
   config_.cancel.check();
-
-  const AdaptationStage::ImplLookupFn lookup =
-      [&](std::uint64_t sig) -> const ImplementationArtifact* {
-    const auto it = by_sig.find(sig);
-    return it == by_sig.end() ? nullptr : it->second;
-  };
-  const AdaptationStage::SerialCadFn serial_cad = implement;
   SpecializationResult result =
-      adapt_.run(module, profile, art, names, lookup, serial_cad, obs);
+      adapt(module, profile, art, names, dispatched, db);
 
-  // Persistence tail: the adaptation stage just populated the cache, so any
+  // Persistence tail: the adaptation tail just populated the cache, so any
   // attached journal has buffered records — flush them (and compact when
   // the size/garbage trigger fires) so a crash between specializer runs
   // never loses the bitstreams this run paid for.
@@ -147,9 +132,165 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
       if (config_.journal_fsync) journal->set_fsync(true);
       const std::size_t flushed = journal->sync();
       const bool compacted = journal->maybe_compact(*cache_);
-      obs.on_cache_journal_sync(flushed, compacted);
+      observers_.on_cache_journal_sync(flushed, compacted);
     }
   }
+  return result;
+}
+
+// Pure with respect to pipeline state (the circuit database and observers
+// are internally synchronized): the result depends only on the candidate's
+// structure and signature-seeded jitter, never on the project name or the
+// thread that ran it.
+std::optional<cad::ImplementationResult> SpecializationPipeline::implement(
+    const SearchArtifact& search, std::size_t k, const std::string& name,
+    hwlib::CircuitDb& db) {
+  const std::size_t idx = search.selection.chosen[k];
+  const datapath::CadProject project = datapath::create_project(
+      *search.graphs[search.graph_of[idx]], search.scored[idx].candidate, db,
+      name);
+  observers_.on_candidate_netlist(project.name, project.signature);
+  // Cancellation point on whichever thread runs the chain: a cancelled
+  // request skips the CAD flow before it starts, so no partial
+  // implementation ever reaches the shared cache.
+  config_.cancel.check();
+  cad::ImplementationResult hw;
+  try {
+    hw = cad::implement_candidate(project, config_.flow);
+  } catch (const fpga::CadError&) {
+    observers_.on_candidate_failed(project.name, project.signature);
+    return std::nullopt;
+  }
+  observers_.on_candidate_implemented(project.name, project.signature, hw);
+  return hw;
+}
+
+// Running every order-sensitive effect here, in final selection order, is
+// what makes jobs=N bit-identical to jobs=1.
+SpecializationResult SpecializationPipeline::adapt(
+    const ir::Module& module, const vm::Profile& profile,
+    SearchArtifact& search, std::span<const std::string> names,
+    const CadResults& dispatched, hwlib::CircuitDb& db) {
+  observers_.on_phase_enter(PipelinePhase::Adaptation);
+  support::Stopwatch timer;
+
+  SpecializationResult result;
+  result.candidates_found = search.scored.size();
+  result.candidates_selected = search.selection.chosen.size();
+  result.search_real_ms = search.search_real_ms;
+  result.isegen = search.isegen;
+
+  double saved_cycles_total = 0.0;
+  for (std::size_t k = 0; k < search.selection.chosen.size(); ++k) {
+    // Cancellation point: between candidates, before any of this
+    // candidate's bookkeeping — never between a cache insert and its
+    // journal record, so cancellation can't tear the shared cache state.
+    config_.cancel.check();
+    const std::size_t idx = search.selection.chosen[k];
+    const ise::ScoredCandidate& sc = search.scored[idx];
+    const estimation::CandidateEstimate& est = search.estimates[idx];
+    const std::size_t block = search.graph_of[idx];
+    const dfg::BlockDfg& graph = *search.graphs[block];
+    ImplementedCandidate impl;
+    impl.name = names[k];
+    impl.signature = sc.signature;
+    impl.instructions = sc.candidate.size();
+    impl.area_slices = sc.area_slices;
+
+    woolcano::CustomInstruction ci;
+    ci.candidate = sc.candidate;
+    ci.signature = sc.signature;
+    ci.program = woolcano::snapshot_program(graph, sc.candidate);
+    ci.area_slices = sc.area_slices;
+
+    if (!config_.implement_hardware) {
+      ci.hw_cycles = est.hw_cycles;
+      ci.critical_path_ns = est.hw_latency_ns;
+    } else {
+      std::optional<CachedImplementation> hit;
+      if (cache_) hit = cache_->lookup(impl.signature);
+      if (hit) {
+        observers_.on_cache_hit(impl.name, impl.signature);
+        impl.cache_hit = true;
+        impl.cells = hit->cells;
+        ci.hw_cycles = hit->hw_cycles;
+        ci.critical_path_ns = hit->critical_path_ns;
+        ci.bitstream_bytes = hit->bitstream.size_bytes();
+        // All generation stages are skipped: zero modeled seconds.
+      } else {
+        // Dispatched results are keyed by signature: identical datapaths
+        // produce identical CAD results (jitter is signature-seeded), so
+        // one slot serves every occurrence. A candidate that was
+        // cache-resident at dispatch time and evicted (by another session,
+        // or a capacity bound) before the tail reached this position was
+        // never dispatched; its CAD chain runs here.
+        const auto slot = dispatched.find(impl.signature);
+        std::optional<cad::ImplementationResult> evicted;
+        if (slot == dispatched.end())
+          evicted = implement(search, k, names[k], db);
+        const std::optional<cad::ImplementationResult>& hw =
+            slot != dispatched.end() ? slot->second : evicted;
+        if (!hw) {
+          // Oversized or unroutable candidate: the tool flow rejects it
+          // and the specializer simply drops it (it stays in software).
+          ++result.candidates_failed;
+          continue;
+        }
+        impl.cells = hw->cells;
+        impl.c2v_s = hw->c2v.modeled_seconds;
+        impl.syn_s = hw->syn.modeled_seconds;
+        impl.xst_s = hw->xst.modeled_seconds;
+        impl.tra_s = hw->tra.modeled_seconds;
+        impl.map_s = hw->map.modeled_seconds;
+        impl.par_s = hw->par.modeled_seconds;
+        impl.bitgen_s = hw->bitgen.modeled_seconds;
+        // STA measures interconnect over the coarse cluster netlist; the
+        // component database carries each core's true combinational latency.
+        // The effective FCM latency is bounded below by both.
+        ci.critical_path_ns =
+            std::max(hw->timing.critical_path_ns, est.hw_latency_ns);
+        ci.hw_cycles = std::max(fcm_hw_cycles(ci.critical_path_ns, config_),
+                                est.hw_cycles);
+        ci.bitstream_bytes = hw->bitstream.size_bytes();
+        if (cache_)
+          cache_->insert(impl.signature,
+                         CachedImplementation{hw->bitstream, ci.hw_cycles,
+                                              ci.critical_path_ns,
+                                              impl.area_slices, hw->cells,
+                                              impl.total_seconds()});
+      }
+    }
+    impl.hw_cycles = ci.hw_cycles;
+    impl.bitstream_bytes = ci.bitstream_bytes;
+
+    // Cycle bookkeeping for the predicted speedup: actual hardware cycles
+    // replace the estimate in the saving. A candidate whose implemented
+    // latency turned out no better than software is *not activated* (the VM
+    // keeps the software path), but its generation cost was already paid —
+    // exactly the paper's accounting, where every implemented candidate
+    // contributes to the overhead regardless of its eventual benefit.
+    const double saved_per_exec = static_cast<double>(est.sw_cycles) -
+                                  static_cast<double>(ci.hw_cycles);
+    const bool activated = saved_per_exec > 0.0;
+    if (activated)
+      saved_cycles_total +=
+          saved_per_exec *
+          static_cast<double>(search.prune.blocks[block].exec_count);
+
+    result.sum_const_s += impl.const_seconds();
+    result.sum_map_s += impl.map_s;
+    result.sum_par_s += impl.par_s;
+    result.sum_total_s += impl.total_seconds();
+    if (activated) result.registry.add(std::move(ci));
+    result.implemented.push_back(std::move(impl));
+  }
+
+  result.prune = std::move(search.prune);
+  result.rewritten = woolcano::rewrite_module(module, result.registry);
+  const double base = static_cast<double>(profile.cpu_cycles);
+  const double accel = base - saved_cycles_total;
+  result.predicted_speedup = accel > 0.0 && base > 0.0 ? base / accel : 1.0;
+  observers_.on_phase_exit(PipelinePhase::Adaptation, timer.elapsed_ms());
   return result;
 }
 

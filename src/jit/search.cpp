@@ -17,26 +17,29 @@
 
 namespace jitise::jit {
 
-SearchArtifact CandidateSearchStage::run(
-    const ir::Module& module, const vm::Profile& profile, hwlib::CircuitDb& db,
-    PipelineObserver& observer, estimation::EstimateCache* estimates) const {
-  config_.cancel.check();
+SearchArtifact search_candidates(const SpecializerConfig& config,
+                                 const ir::Module& module,
+                                 const vm::Profile& profile,
+                                 hwlib::CircuitDb& db,
+                                 PipelineObserver& observer,
+                                 estimation::EstimateCache* estimates) {
+  config.cancel.check();
   observer.on_phase_enter(PipelinePhase::CandidateSearch);
   support::Stopwatch timer;
 
   SearchArtifact art;
-  art.prune = ise::prune_blocks(module, profile, config_.cpu, config_.prune);
+  art.prune = ise::prune_blocks(module, profile, config.cpu, config.prune);
 
   for (std::size_t b = 0; b < art.prune.blocks.size(); ++b) {
     // Cancellation point between blocks: a cancelled search leaves a
     // consistent prefix of searched blocks.
-    config_.cancel.check();
+    config.cancel.check();
     support::Stopwatch block_timer;
     const ise::PrunedBlock& blk = art.prune.blocks[b];
     auto graph = std::make_unique<dfg::BlockDfg>(
         module.functions[blk.function], blk.block);
     std::vector<ise::Candidate> candidates =
-        config_.identify == SpecializerConfig::Identify::UnionMiso
+        config.identify == SpecializerConfig::Identify::UnionMiso
             ? ise::find_union_misos(*graph)
             : ise::find_max_misos(*graph);
     const std::size_t graph_index = art.graphs.size();
@@ -47,7 +50,7 @@ SearchArtifact CandidateSearchStage::run(
       // candidates across blocks, apps and tenants.
       const std::uint64_t signature = ise::candidate_signature(*graph, cand);
       const auto est = estimation::estimate_candidate_cached(
-          *graph, cand, db, config_.cpu, config_.fcm, signature, estimates);
+          *graph, cand, db, config.cpu, config.fcm, signature, estimates);
       ise::ScoredCandidate scored;
       scored.signature = signature;
       scored.candidate = std::move(cand);
@@ -64,17 +67,17 @@ SearchArtifact CandidateSearchStage::run(
     observer.on_block_searched(b, candidates.size(), block_timer.elapsed_ms());
   }
 
-  switch (config_.selector) {
+  switch (config.selector) {
     case SpecializerConfig::Selector::Greedy:
-      art.selection = ise::select_greedy(art.scored, config_.select);
+      art.selection = ise::select_greedy(art.scored, config.select);
       break;
     case SpecializerConfig::Selector::Knapsack:
-      art.selection = ise::select_knapsack(art.scored, config_.select);
+      art.selection = ise::select_knapsack(art.scored, config.select);
       break;
     case SpecializerConfig::Selector::Isegen:
       art.selection =
-          ise::select_isegen(art.scored, config_.select, config_.isegen,
-                             config_.cancel, &art.isegen);
+          ise::select_isegen(art.scored, config.select, config.isegen,
+                             config.cancel, &art.isegen);
       observer.on_selection_refined(art.isegen);
       break;
   }

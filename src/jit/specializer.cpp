@@ -1,4 +1,4 @@
-// Entry points of the ASIP Specialization Process. The staged machinery
+// Entry points of the ASIP Specialization Process. The pipeline body
 // lives in jit/pipeline.* — `specialize()` is a thin wrapper that builds a
 // SpecializationPipeline, attaches the stderr TraceObserver when
 // `trace_stages` is set, and runs it.

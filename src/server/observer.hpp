@@ -1,8 +1,8 @@
 // Observer hook layer for the SpecializationServer — the service-level
 // sibling of jit::PipelineObserver. The server emits typed lifecycle events
 // (admission, rejection, session start, terminal outcome, drain) instead of
-// ad-hoc prints; the latency/throughput bookkeeping behind `stats()` is
-// itself implemented as one of these observers.
+// ad-hoc prints, for tracing and tests. The counters behind `stats()` are
+// kept by the server itself, not by an observer.
 //
 // Events fire from the submitting thread (`on_admitted`/`on_rejected`) and
 // from worker sessions (everything else), so implementations must be

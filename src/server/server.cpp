@@ -173,9 +173,7 @@ Ticket SpecializationServer::submit(SpecializationRequest request) {
       if (request.deadline_ms > 0.0) {
         state->cancel.set_deadline_in_ms(request.deadline_ms);
       }
-      const auto inflight = config_.coalesce_requests
-                                ? inflight_.find(signature)
-                                : inflight_.end();
+      const auto inflight = inflight_.find(signature);
       if (inflight != inflight_.end()) {
         // Coalesce: ride the in-flight run as a follower. No queue slot, no
         // round-robin turn — the ticket resolves from the leader's result.
@@ -196,9 +194,7 @@ Ticket SpecializationServer::submit(SpecializationRequest request) {
                           std::to_string(config_.queue_capacity) + ")";
         } else {
           enqueue_locked(Session{id, std::move(request), state, signature});
-          if (config_.coalesce_requests) {
-            inflight_.emplace(signature, InFlight{id, {}});
-          }
+          inflight_.emplace(signature, InFlight{id, {}});
           depth = pending_count_;
         }
       }
@@ -208,17 +204,7 @@ Ticket SpecializationServer::submit(SpecializationRequest request) {
 
   // Dead swept sessions resolve outside the lock (cohort-aware: a swept
   // leader promotes its oldest surviving follower).
-  for (Session& d : dead) {
-    const support::CancelReason r = d.ticket->cancel.token().reason();
-    finish_session(d,
-                   r == support::CancelReason::DeadlineExpired
-                       ? RequestState::Expired
-                       : RequestState::Cancelled,
-                   r == support::CancelReason::DeadlineExpired
-                       ? "deadline expired while queued"
-                       : "cancelled while queued",
-                   std::nullopt, RequestProgress{});
-  }
+  for (Session& d : dead) finish_unstarted(d);
   if (!dead.empty()) {
     std::lock_guard<std::mutex> lock(mu_);
     --settling_;
@@ -238,8 +224,8 @@ Ticket SpecializationServer::submit(SpecializationRequest request) {
     state->cv.notify_all();
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++rejections_;
-      auto& ts = tenant_stats_[tenant];
+      ++stats_.admission_rejections;
+      auto& ts = stats_.tenants[tenant];
       ++ts.submitted;
       ++ts.rejected;
       tenant_first_.emplace(tenant, Clock::now());
@@ -251,10 +237,10 @@ Ticket SpecializationServer::submit(SpecializationRequest request) {
   if (leader_id != 0) {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      auto& ts = tenant_stats_[tenant];
+      auto& ts = stats_.tenants[tenant];
       ++ts.submitted;
       ++ts.coalesced;
-      ++coalesced_submits_;
+      ++stats_.coalesced_submits;
       tenant_first_.emplace(tenant, Clock::now());
     }
     observers_.on_coalesced(id, tenant, leader_id);
@@ -263,8 +249,8 @@ Ticket SpecializationServer::submit(SpecializationRequest request) {
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++tenant_stats_[tenant].submitted;
-    queue_high_water_ = std::max(queue_high_water_, depth);
+    ++stats_.tenants[tenant].submitted;
+    stats_.queue_high_water = std::max(stats_.queue_high_water, depth);
     tenant_first_.emplace(tenant, Clock::now());
   }
   observers_.on_admitted(id, tenant, depth);
@@ -282,9 +268,10 @@ WindowObservation SpecializationServer::observe_window(
   obs.decision = policy_->observe(stream, *module, *window);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++windows_observed_;
-    if (obs.decision.change) ++phase_changes_;
-    if (obs.decision.action == adaptive::DriftAction::Keep) ++drift_keeps_;
+    ++stats_.windows_observed;
+    if (obs.decision.change) ++stats_.phase_changes;
+    if (obs.decision.action == adaptive::DriftAction::Keep)
+      ++stats_.drift_keeps;
   }
   if (obs.decision.change) {
     observers_.on_phase_change(stream, *obs.decision.change);
@@ -305,7 +292,7 @@ WindowObservation SpecializationServer::observe_window(
     Ticket ticket = submit(std::move(request));
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++drift_respecializations_;
+      ++stats_.drift_respecializations;
     }
     observers_.on_drift(stream, obs.decision, ticket.id());
     obs.ticket = std::move(ticket);
@@ -387,17 +374,7 @@ void SpecializationServer::worker_loop() {
     ++running_;
     lock.unlock();
 
-    for (Session& d : dead) {
-      const support::CancelReason r = d.ticket->cancel.token().reason();
-      finish_session(d,
-                     r == support::CancelReason::DeadlineExpired
-                         ? RequestState::Expired
-                         : RequestState::Cancelled,
-                     r == support::CancelReason::DeadlineExpired
-                         ? "deadline expired while queued"
-                         : "cancelled while queued",
-                     std::nullopt, RequestProgress{});
-    }
+    for (Session& d : dead) finish_unstarted(d);
     if (session) run_session(*session);
 
     lock.lock();
@@ -425,16 +402,8 @@ void SpecializationServer::run_session(Session& session) {
   // A request cancelled or expired after it was popped but before the
   // pipeline starts resolves without ever entering it (the scheduler
   // already skips requests that were dead while still queued).
-  const support::CancelReason queued_reason = token.reason();
-  if (queued_reason != support::CancelReason::None) {
-    finish_session(session,
-                   queued_reason == support::CancelReason::DeadlineExpired
-                       ? RequestState::Expired
-                       : RequestState::Cancelled,
-                   queued_reason == support::CancelReason::DeadlineExpired
-                       ? "deadline expired while queued"
-                       : "cancelled while queued",
-                   std::nullopt, progress.progress());
+  if (token.cancelled()) {
+    finish_unstarted(session);
     return;
   }
 
@@ -491,6 +460,16 @@ void SpecializationServer::run_session(Session& session) {
   // schedule. Other sessions are too short to pay for a trim of a big heap.
   if (progress.progress().implemented > 0) ::malloc_trim(0);
 #endif
+}
+
+void SpecializationServer::finish_unstarted(Session& session) {
+  const bool expired = session.ticket->cancel.token().reason() ==
+                       support::CancelReason::DeadlineExpired;
+  finish_session(session,
+                 expired ? RequestState::Expired : RequestState::Cancelled,
+                 expired ? "deadline expired while queued"
+                         : "cancelled while queued",
+                 std::nullopt, RequestProgress{});
 }
 
 void SpecializationServer::finish_session(
@@ -560,7 +539,7 @@ void SpecializationServer::finish_session(
   if (promoted_id) {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++promotions_;
+      ++stats_.promotions;
     }
     observers_.on_promoted(*promoted_id, promoted_tenant, session.id);
     work_cv_.notify_one();
@@ -618,28 +597,29 @@ void SpecializationServer::resolve(
   const RequestOutcome& out = ticket->outcome;  // immutable once terminal
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    auto& ts = tenant_stats_[out.tenant];
-    if (out.coalesced && state == RequestState::Done) ++coalesced_completed_;
+    auto& ts = stats_.tenants[out.tenant];
+    if (out.coalesced && state == RequestState::Done)
+      ++stats_.coalesced_completed;
     switch (state) {
       case RequestState::Done: ++ts.completed; break;
       case RequestState::Failed: ++ts.failed; break;
       case RequestState::Cancelled:
         ++ts.cancelled;
-        ++cancellations_;
+        ++stats_.cancellations;
         break;
       case RequestState::Expired:
         ++ts.expired;
-        ++expiries_;
+        ++stats_.expiries;
         break;
       default: break;
     }
     // A Done follower carries a *copy* of its leader's progress; only the
     // run that actually executed the refinement accumulates here.
     if (progress.isegen_ran && !out.coalesced) {
-      ++isegen_runs_;
-      isegen_iterations_ += progress.isegen_iterations;
-      isegen_accepted_ += progress.isegen_accepted;
-      isegen_saving_delta_ += progress.isegen_saving_delta;
+      ++stats_.isegen_runs;
+      stats_.isegen_iterations += progress.isegen_iterations;
+      stats_.isegen_accepted += progress.isegen_accepted;
+      stats_.isegen_saving_delta += progress.isegen_saving_delta;
     }
     tenant_latency_[out.tenant].add(out.total_ms);
   }
@@ -667,12 +647,9 @@ void SpecializationServer::drain() {
 ServerStats SpecializationServer::stats() const {
   ServerStats s;
   const auto now = Clock::now();
-  const double uptime_s =
-      std::chrono::duration<double>(now - started_at_).count();
-  s.uptime_s = uptime_s;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    s.tenants = tenant_stats_;
+    s = stats_;
     for (auto& [tenant, ts] : s.tenants) {
       const auto it = tenant_latency_.find(tenant);
       if (it != tenant_latency_.end() && it->second.count() > 0) {
@@ -694,22 +671,8 @@ ServerStats SpecializationServer::stats() const {
       ts.throughput_rps =
           window_s > 0.0 ? static_cast<double>(ts.completed) / window_s : 0.0;
     }
-    s.queue_high_water = queue_high_water_;
-    s.admission_rejections = rejections_;
-    s.cancellations = cancellations_;
-    s.expiries = expiries_;
-    s.coalesced_submits = coalesced_submits_;
-    s.coalesced_completed = coalesced_completed_;
-    s.promotions = promotions_;
-    s.isegen_runs = isegen_runs_;
-    s.isegen_iterations = isegen_iterations_;
-    s.isegen_accepted = isegen_accepted_;
-    s.isegen_saving_delta = isegen_saving_delta_;
-    s.windows_observed = windows_observed_;
-    s.phase_changes = phase_changes_;
-    s.drift_respecializations = drift_respecializations_;
-    s.drift_keeps = drift_keeps_;
   }
+  s.uptime_s = std::chrono::duration<double>(now - started_at_).count();
   s.pipeline_runs = pipeline_runs_.load(std::memory_order_relaxed);
   s.executor = pool_.stats();
   s.cache_hits = cache_.hits();

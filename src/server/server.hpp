@@ -101,13 +101,6 @@ struct ServerConfig {
   /// When non-empty, the shared cache persists through a CacheJournal at
   /// this path (replayed on startup, synced on drain and per session).
   std::string cache_journal_file;
-  /// Request coalescing: a submission whose (module, profile) signature
-  /// (jit::request_signature) matches a run already queued or executing
-  /// registers as a *follower* on that run's in-flight entry and resolves
-  /// from the leader's result instead of entering the pipeline. Followers
-  /// hold no admission-queue slot and no round-robin turn. Off runs every
-  /// admitted request through the pipeline (differential testing).
-  bool coalesce_requests = true;
   /// Extra PipelineObserver installed on every session's pipeline (not
   /// owned; must be internally synchronized and outlive the server). Used
   /// by tests and tracing; null = none.
@@ -211,12 +204,11 @@ class SpecializationServer {
 
   /// Admission: returns a live ticket, or — when the queue is at capacity
   /// or the server is draining — one already terminal in state Rejected
-  /// with the reason filled in. Never blocks on queue space. With
-  /// `coalesce_requests`, a signature match against an in-flight run
-  /// registers the ticket as a follower (exempt from queue capacity — it
-  /// holds no slot); before rejecting for capacity, requests already
-  /// cancelled/expired while queued are swept out of the queue, so dead
-  /// sessions never crowd out live traffic.
+  /// with the reason filled in. Never blocks on queue space. A signature
+  /// match against an in-flight run registers the ticket as a follower
+  /// (exempt from queue capacity — it holds no slot); before rejecting for
+  /// capacity, requests already cancelled/expired while queued are swept
+  /// out of the queue, so dead sessions never crowd out live traffic.
   Ticket submit(SpecializationRequest request);
 
   /// Adaptive mode: streams one closed profile window for (tenant, module)
@@ -284,6 +276,9 @@ class SpecializationServer {
     return pending_count_;
   }
   void run_session(Session& session);
+  /// Resolves a session whose token fired before its pipeline started:
+  /// Expired or Cancelled "while queued", by the token's reason.
+  void finish_unstarted(Session& session);
   /// Resolves a session's ticket, then settles its cohort: a Done leader
   /// resolves every follower from its result; a dead leader promotes the
   /// oldest surviving follower into a fresh run (re-enqueued at its own
@@ -329,23 +324,10 @@ class SpecializationServer {
   std::uint64_t next_id_ = 0;
 
   mutable std::mutex stats_mu_;  // accounting below
-  std::map<std::string, TenantStats> tenant_stats_;
+  /// The counters stats() reports as counted; it fills in the rest (latency
+  /// percentiles, throughput, uptime, pool and cache counters).
+  ServerStats stats_;
   std::map<std::string, support::LatencySamples> tenant_latency_;
-  std::size_t queue_high_water_ = 0;
-  std::uint64_t rejections_ = 0;
-  std::uint64_t cancellations_ = 0;
-  std::uint64_t expiries_ = 0;
-  std::uint64_t coalesced_submits_ = 0;
-  std::uint64_t coalesced_completed_ = 0;
-  std::uint64_t promotions_ = 0;
-  std::uint64_t isegen_runs_ = 0;
-  std::uint64_t isegen_iterations_ = 0;
-  std::uint64_t isegen_accepted_ = 0;
-  double isegen_saving_delta_ = 0.0;
-  std::uint64_t windows_observed_ = 0;
-  std::uint64_t phase_changes_ = 0;
-  std::uint64_t drift_respecializations_ = 0;
-  std::uint64_t drift_keeps_ = 0;
   /// Per-tenant steady timestamp of the first submit — the start of the
   /// throughput window stats() reports.
   std::map<std::string, std::chrono::steady_clock::time_point> tenant_first_;

@@ -392,9 +392,6 @@ RunResult Machine::run(ir::FuncId fn, std::span<const Slot> args,
                        std::uint64_t max_steps) {
   budget_ = max_steps;
   run_steps_ = 0;
-  run_cycles_ = 0;
-  folded_steps_ = 0;
-  arm_tick();
   if (regs_.size() < args.size()) regs_.resize(args.size());
   std::copy(args.begin(), args.end(), regs_.begin());
   RunResult result;
@@ -404,20 +401,15 @@ RunResult Machine::run(ir::FuncId fn, std::span<const Slot> args,
     fold();
     throw;
   }
-  fold();
+  result.cycles = fold();
   result.steps = run_steps_;
-  result.cycles = run_cycles_;
   if (windowing_ && window_config_.per_run) close_window();
   return result;
 }
 
 void Machine::clear_profile() noexcept {
   profile_.clear();
-  if (windowing_) {
-    window_base_.clear();
-    if (window_config_.instructions_per_window != 0)
-      window_next_ = window_config_.instructions_per_window;
-  }
+  if (windowing_) window_base_.clear();
 }
 
 void Machine::enable_windowing(const WindowConfig& config) {
@@ -425,20 +417,12 @@ void Machine::enable_windowing(const WindowConfig& config) {
   window_config_ = config;
   if (window_config_.ring_capacity == 0) window_config_.ring_capacity = 1;
   window_base_ = profile_;
-  window_next_ =
-      window_config_.instructions_per_window != 0
-          ? profile_.dyn_instructions + window_config_.instructions_per_window
-          : UINT64_MAX;
 }
 
 bool Machine::close_window() {
   if (!windowing_) return false;
   Profile delta = profile_.diff(window_base_);
   window_base_ = profile_;
-  if (window_config_.instructions_per_window != 0) {
-    window_next_ = profile_.dyn_instructions +
-                   window_config_.instructions_per_window;
-  }
   if (delta.empty()) return false;
   windows_.push_back(ProfileWindow{windows_closed_++, std::move(delta)});
   while (windows_.size() > window_config_.ring_capacity) windows_.pop_front();
@@ -460,18 +444,10 @@ Machine::Decoded& Machine::decoded(ir::FuncId fn) {
   return *d;
 }
 
-// Lists `fn` for the next fold. A function is listed on entry, after each
-// call it makes returns and after each window tick in it: a fold unlists
-// the functions it visits, even ones whose frames are still live.
-void Machine::mark_entered(ir::FuncId fn, Decoded& d) {
-  d.entered = true;
-  entered_.push_back(fn);
-}
-
-// Moves everything counted since the last fold into the profile and this
-// run's cycles: each listed function's segment counters times the segments'
-// cycle and opcode totals, the correction record, and the steps run since.
-void Machine::fold() noexcept {
+// Moves everything the run counted into the profile: each listed function's
+// segment counters times the segments' cycle and opcode totals, the
+// correction record, and the run's steps. Returns the run's cycles.
+std::uint64_t Machine::fold() noexcept {
   std::uint64_t cycles = correction_.cycles;
   for (std::size_t op = 0; op < ir::kNumOpcodes; ++op)
     profile_.opcode_counts[op] += correction_.opcode_counts[op];
@@ -491,27 +467,9 @@ void Machine::fold() noexcept {
     }
   }
   entered_.clear();
-  profile_.dyn_instructions += run_steps_ - folded_steps_;
-  folded_steps_ = run_steps_;
+  profile_.dyn_instructions += run_steps_;
   profile_.cpu_cycles += cycles;
-  run_cycles_ += cycles;
-}
-
-// Re-derives tick_ from window_next_ as a step count of this run; the
-// profile must be folded. An overdue tick fires at the run's first block.
-void Machine::arm_tick() noexcept {
-  const std::uint64_t run_start = profile_.dyn_instructions - run_steps_;
-  tick_ = window_next_ == UINT64_MAX ? UINT64_MAX
-          : window_next_ > run_start ? window_next_ - run_start
-                                     : 0;
-}
-
-// Closes the window a tick at block entry in `fn` ends.
-void Machine::tick(ir::FuncId fn, Decoded& d) {
-  fold();
-  close_window();
-  arm_tick();
-  mark_entered(fn, d);
+  return cycles;
 }
 
 // The semantics of one straight-line kind. K is a constant, so each
@@ -635,15 +593,12 @@ void Machine::uncount_rest(const Op* op) noexcept {
   }
 }
 
-// Enters `edge`'s target: the block count, the window tick, the phis' parallel
-// copy, then the accounting of the block's first segment.
+// Enters `edge`'s target: the block count, the phis' parallel copy, then the
+// accounting of the block's first segment.
 [[gnu::always_inline]] inline const Machine::Op* Machine::enter(
     Decoded& d, const Edge& edge, ir::FuncId fn, Slot* regs,
     std::uint64_t* block_counts, std::uint64_t* executed) {
   ++block_counts[edge.target];
-  // Windowed profiling tick: one compare against a sentinel (UINT64_MAX
-  // when disabled), so the non-windowed hot path pays a single branch.
-  if (run_steps_ >= tick_) tick(fn, d);
   if (edge.missing_arc)
     throw ExecutionError("phi without arc for incoming edge in @" +
                          module_.functions[fn].name);
@@ -664,7 +619,11 @@ Slot Machine::exec(ir::FuncId fn, std::uint32_t base, std::size_t nargs,
   if (nargs != f.params.size())
     throw ExecutionError("arity mismatch calling @" + f.name);
   Decoded& d = decoded(fn);
-  if (!d.entered) mark_entered(fn, d);
+  // Listed for the run-end fold, which unlists it.
+  if (!d.entered) {
+    d.entered = true;
+    entered_.push_back(fn);
+  }
   if (regs_.size() < base + d.frame_size)
     regs_.resize(std::max<std::size_t>(base + d.frame_size, 2 * regs_.size()));
   Slot* regs = regs_.data() + base;
@@ -700,7 +659,6 @@ Slot Machine::exec(ir::FuncId fn, std::uint32_t base, std::size_t nargs,
           const Slot r = exec(op->a, base + values, op->c, depth + 1);
           regs = regs_.data() + base;
           regs[op->dst] = r;
-          if (!d.entered) mark_entered(fn, d);
           count(d, static_cast<std::uint32_t>(op->imm), op + 1, regs, executed);
           ++op;
           continue;

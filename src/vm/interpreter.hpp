@@ -23,17 +23,13 @@
 // turns the counters into the profile's instruction, cycle and opcode totals
 // and the run's cycles (each counter times its segment's precomputed cycle
 // and opcode totals, plus a correction record) and resets them. It runs at
-// every run end, normal or throwing, and at every window close, and visits
-// only the functions entered since the previous fold. So profile() and
-// snapshot() are current between runs and in every closed window, which is
-// where callers read them. Everything observable matches counting one
-// instruction at a time:
-//   - a window tick at block entry compares the run's step count with a
-//     run-relative threshold and sees the exact dynamic count, because a
-//     segment never spans a call (a callee's block entries tick mid-caller);
+// every run end, normal or throwing, and visits only the functions entered
+// during the run. So profile() and snapshot() are current between runs,
+// which is where callers read them and where windows close. Everything
+// observable matches counting one instruction at a time:
 //   - a block's phis count as one group (0 cycles) followed by one step
 //     budget check; a phi without an arc for the incoming edge throws at block
-//     entry, after the block count and the window tick;
+//     entry, after the block count;
 //   - a segment that would cross the step budget runs one instruction at a
 //     time, so the error fires at the same instruction with the same counts;
 //   - a trap counts the trapping instruction but not the rest of its segment;
@@ -101,11 +97,7 @@ struct ProfileWindow {
 
 /// Epoch boundaries for windowed profiling (Machine::enable_windowing).
 struct WindowConfig {
-  /// Close a window every N dynamic instructions, checked at block entry:
-  /// the boundary lands on the first block entry at or past the tick, so a
-  /// window overshoots by at most one block. 0 = no instruction ticks.
-  std::uint64_t instructions_per_window = 0;
-  /// Also close a window at the end of every run() call.
+  /// Close a window at the end of every run() call.
   bool per_run = true;
   /// Bound on retained windows: once full, the oldest falls off the ring
   /// (the stream index keeps counting). Clamped to >= 1.
@@ -171,8 +163,8 @@ class Machine {
   RunResult run(std::string_view fn_name, std::span<const Slot> args,
                 std::uint64_t max_steps = 1ull << 32);
 
-  /// The accumulated profile, current at every run end and window close
-  /// (not from inside a run, e.g. from a custom-op handler).
+  /// The accumulated profile, current between runs (not from inside a run,
+  /// e.g. from a custom-op handler).
   [[nodiscard]] const Profile& profile() const noexcept { return profile_; }
   /// A copy of the accumulated profile that does not disturb accumulation;
   /// pairs with Profile::diff for snapshot-and-subtract windowing without
@@ -183,7 +175,7 @@ class Machine {
 
   /// Switches the machine into windowed profiling: the accumulated profile
   /// keeps growing monotonically, and in addition every epoch boundary
-  /// (instruction tick, end of run, or explicit close_window) emits the
+  /// (end of run, or explicit close_window between runs) emits the
   /// since-last-boundary delta into a bounded ring — a long-running tenant
   /// then produces a profile *stream*, not just a monotone accumulator.
   /// (Re-)enabling anchors the first window at the current accumulated
@@ -230,10 +222,7 @@ class Machine {
   void uncount_rest(const Op* op) noexcept;
   template <Kind K>
   void step(const Decoded& d, const Op& op, Slot* regs);
-  void mark_entered(ir::FuncId fn, Decoded& d);
-  void fold() noexcept;
-  void tick(ir::FuncId fn, Decoded& d);
-  void arm_tick() noexcept;
+  std::uint64_t fold() noexcept;
 
   const ir::Module& module_;
   CostModel cost_;
@@ -241,24 +230,16 @@ class Machine {
   std::vector<std::uint32_t> global_addr_;
   Profile profile_;
   CustomOpHandler custom_;
-  // The current run: its step budget, its steps so far, and its cycles and
-  // steps as of the last fold.
+  // The current run: its step budget and its steps so far.
   std::uint64_t budget_ = 0;
   std::uint64_t run_steps_ = 0;
-  std::uint64_t run_cycles_ = 0;
-  std::uint64_t folded_steps_ = 0;
   Correction correction_;
-  // Functions whose segment counters may have moved since the last fold.
+  // Functions entered since the last fold.
   std::vector<ir::FuncId> entered_;
-  // Windowed profiling (enable_windowing). window_next_ is the dynamic
-  // instruction count at which the next tick-boundary fires, and tick_ the
-  // same point as a step count of the current run; UINT64_MAX is the
-  // disabled sentinel, so the hot block-entry check is one compare.
+  // Windowed profiling (enable_windowing).
   bool windowing_ = false;
   WindowConfig window_config_;
   Profile window_base_;
-  std::uint64_t window_next_ = UINT64_MAX;
-  std::uint64_t tick_ = UINT64_MAX;
   std::deque<ProfileWindow> windows_;
   std::uint64_t windows_closed_ = 0;
   // Per-function decoded form, built on the function's first call.

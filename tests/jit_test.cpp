@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -442,7 +443,7 @@ TEST(Pipeline, DispatchesLargestEstimatedAreaFirst) {
   hwlib::CircuitDb db;
   jit::PipelineObserver quiet;
   const jit::SearchArtifact art =
-      jit::CandidateSearchStage(config).run(app.module, profile, db, quiet);
+      jit::search_candidates(config, app.module, profile, db, quiet);
   std::unordered_map<std::uint64_t, double> area;
   for (const std::size_t idx : art.selection.chosen)
     area.emplace(art.scored[idx].signature, art.scored[idx].area_slices);
@@ -503,6 +504,75 @@ TEST(Pipeline, WarmRespecializationRunsNoCad) {
     for (const auto& impl : warm.implemented)
       EXPECT_TRUE(impl.cache_hit) << impl.name;
     EXPECT_EQ(rec.count_of("cache-hit"), warm.implemented.size());
+  }
+}
+
+TEST(Pipeline, EvictedAfterDispatchRunsCadInTheTail) {
+  // A candidate that is cache-resident when the sweep is collected but
+  // evicted before the adaptation tail reaches it is never dispatched: the
+  // tail runs its CAD chain itself. Emptying the cache as the Implementation
+  // phase closes sends every candidate of a warm run down that path, and
+  // the result must equal the cold run's.
+  const apps::App app = apps::build_app("whetstone");
+  vm::Machine machine(app.module);
+  machine.run(app.entry, app.datasets[0].args, 1ull << 30);
+  const vm::Profile profile = machine.profile();
+
+  // With nothing dispatched, every event fires on the pipeline thread.
+  struct EvictAfterDispatch final : jit::PipelineObserver {
+    jit::BitstreamCache* cache = nullptr;
+    bool in_tail = false;
+    std::size_t dispatched = 0;
+    std::size_t cad_in_tail = 0;
+    void on_phase_enter(jit::PipelinePhase phase) override {
+      in_tail = phase == jit::PipelinePhase::Adaptation;
+    }
+    void on_phase_exit(jit::PipelinePhase phase, double) override {
+      if (phase == jit::PipelinePhase::Implementation) cache->clear();
+    }
+    void on_candidate_dispatched(std::uint64_t, bool) override {
+      ++dispatched;
+    }
+    void on_candidate_implemented(const std::string&, std::uint64_t,
+                                  const cad::ImplementationResult&) override {
+      if (in_tail) ++cad_in_tail;
+    }
+  };
+  const auto seconds = [](const jit::ImplementedCandidate& i) {
+    return std::array{i.c2v_s, i.syn_s, i.xst_s, i.tra_s,
+                      i.map_s, i.par_s, i.bitgen_s};
+  };
+  for (const unsigned jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    jit::SpecializerConfig config;
+    config.jobs = jobs;
+    jit::BitstreamCache cache;
+    const auto cold = jit::specialize(app.module, profile, config, &cache);
+    ASSERT_FALSE(cold.implemented.empty());
+    ASSERT_EQ(cold.candidates_failed, 0u);
+    std::size_t cold_misses = 0;
+    for (const auto& impl : cold.implemented)
+      if (!impl.cache_hit) ++cold_misses;
+
+    EvictAfterDispatch evict;
+    evict.cache = &cache;
+    jit::SpecializationPipeline pipeline(config, &cache);
+    pipeline.add_observer(&evict);
+    const auto warm = pipeline.run(app.module, profile);
+    EXPECT_EQ(evict.dispatched, 0u);
+    EXPECT_EQ(evict.cad_in_tail, cold_misses);
+    EXPECT_EQ(warm.candidates_failed, 0u);
+    ASSERT_EQ(warm.implemented.size(), cold.implemented.size());
+    for (std::size_t i = 0; i < cold.implemented.size(); ++i) {
+      const auto& w = warm.implemented[i];
+      const auto& c = cold.implemented[i];
+      SCOPED_TRACE(c.name);
+      EXPECT_EQ(w.signature, c.signature);
+      EXPECT_EQ(w.cache_hit, c.cache_hit);
+      EXPECT_EQ(w.hw_cycles, c.hw_cycles);
+      EXPECT_EQ(seconds(w), seconds(c));
+    }
+    EXPECT_EQ(warm.predicted_speedup, cold.predicted_speedup);
   }
 }
 

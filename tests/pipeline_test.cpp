@@ -275,8 +275,8 @@ TEST(IsegenAcceptance, BeatsGreedyAndReachesKnapsackOnRealApps) {
     cfg.implement_hardware = false;
     hwlib::CircuitDb db;
     jit::ObserverList observers;
-    const jit::SearchArtifact art = jit::CandidateSearchStage(cfg).run(
-        app.module, machine.profile(), db, observers);
+    const jit::SearchArtifact art = jit::search_candidates(
+        cfg, app.module, machine.profile(), db, observers);
 
     ise::SelectConfig unconstrained;
     unconstrained.area_budget_slices = 1e18;

@@ -162,7 +162,7 @@ TEST_P(RandomProgram, AnytimeSelectionMonotoneInBudget) {
   hwlib::CircuitDb db;
   jit::ObserverList observers;
   const jit::SearchArtifact art =
-      jit::CandidateSearchStage(config).run(m, machine.profile(), db, observers);
+      jit::search_candidates(config, m, machine.profile(), db, observers);
   if (art.scored.empty()) GTEST_SKIP() << "no candidates for this seed";
 
   ise::SelectConfig unconstrained;

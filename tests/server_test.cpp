@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -62,6 +63,19 @@ server::SpecializationRequest make_request(const std::string& tenant,
   return req;
 }
 
+/// A request for a renamed copy of adpcm's module. Its request signature is
+/// new, so it queues and runs the pipeline instead of coalescing onto an
+/// identical request in flight.
+server::SpecializationRequest make_distinct_request(
+    const std::string& tenant) {
+  static std::atomic<unsigned> copies{0};
+  server::SpecializationRequest req = make_request(tenant);
+  auto copy = std::make_shared<ir::Module>(*req.module);
+  copy->name += "@copy" + std::to_string(copies++);
+  req.module = std::move(copy);
+  return req;
+}
+
 /// Server observer that blocks the FIRST session inside on_started until
 /// released, pinning the single worker so later submissions pile up in the
 /// queue deterministically. Also records the start order (tenant + id).
@@ -104,18 +118,15 @@ TEST(Server, BackpressureRejectsWhenQueueFull) {
   config.workers = 1;
   config.queue_capacity = 2;
   config.specializer.jobs = 1;
-  // These queue-mechanics tests submit identical (module, profile) payloads
-  // on purpose; coalescing would fold them into one run instead of queueing.
-  config.coalesce_requests = false;
   GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
   srv.add_observer(&gate);
 
-  server::Ticket running = srv.submit(make_request("t"));
+  server::Ticket running = srv.submit(make_distinct_request("t"));
   gate.wait_for_started(1);  // worker pinned; queue is now empty
-  server::Ticket q1 = srv.submit(make_request("t"));
-  server::Ticket q2 = srv.submit(make_request("t"));
-  server::Ticket over = srv.submit(make_request("t"));
+  server::Ticket q1 = srv.submit(make_distinct_request("t"));
+  server::Ticket q2 = srv.submit(make_distinct_request("t"));
+  server::Ticket over = srv.submit(make_distinct_request("t"));
 
   // The overflow submission is already terminal, with the reason attached.
   EXPECT_EQ(over.state(), server::RequestState::Rejected);
@@ -142,7 +153,6 @@ TEST(Server, RoundRobinFairnessUnderTenantFlood) {
   config.workers = 1;
   config.queue_capacity = 16;
   config.specializer.jobs = 1;
-  config.coalesce_requests = false;  // identical payloads must queue
   GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
   srv.add_observer(&gate);
@@ -151,12 +161,12 @@ TEST(Server, RoundRobinFairnessUnderTenantFlood) {
   // first request; tenant B arrives last. Round-robin must interleave B
   // between A's queued requests instead of letting the flood starve it.
   std::vector<server::Ticket> tickets;
-  tickets.push_back(srv.submit(make_request("tenant-a")));
+  tickets.push_back(srv.submit(make_distinct_request("tenant-a")));
   gate.wait_for_started(1);
   for (int i = 0; i < 3; ++i)
-    tickets.push_back(srv.submit(make_request("tenant-a")));
+    tickets.push_back(srv.submit(make_distinct_request("tenant-a")));
   for (int i = 0; i < 2; ++i)
-    tickets.push_back(srv.submit(make_request("tenant-b")));
+    tickets.push_back(srv.submit(make_distinct_request("tenant-b")));
 
   gate.release();
   for (auto& t : tickets)
@@ -175,16 +185,15 @@ TEST(Server, PriorityOrdersWithinOneTenant) {
   server::ServerConfig config;
   config.workers = 1;
   config.specializer.jobs = 1;
-  config.coalesce_requests = false;  // identical payloads must queue
   GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
   srv.add_observer(&gate);
 
-  server::Ticket first = srv.submit(make_request("t"));
+  server::Ticket first = srv.submit(make_distinct_request("t"));
   gate.wait_for_started(1);
-  server::SpecializationRequest low1 = make_request("t");
-  server::SpecializationRequest low2 = make_request("t");
-  server::SpecializationRequest high = make_request("t");
+  server::SpecializationRequest low1 = make_distinct_request("t");
+  server::SpecializationRequest low2 = make_distinct_request("t");
+  server::SpecializationRequest high = make_distinct_request("t");
   high.priority = 5;
   const std::uint64_t low1_id = srv.submit(std::move(low1)).id();
   const std::uint64_t low2_id = srv.submit(std::move(low2)).id();
@@ -208,14 +217,13 @@ TEST(Server, DeadlineExpiresWhileQueued) {
   server::ServerConfig config;
   config.workers = 1;
   config.specializer.jobs = 1;
-  config.coalesce_requests = false;  // identical payloads must queue
   GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
   srv.add_observer(&gate);
 
-  server::Ticket running = srv.submit(make_request("t"));
+  server::Ticket running = srv.submit(make_distinct_request("t"));
   gate.wait_for_started(1);
-  server::SpecializationRequest doomed = make_request("t");
+  server::SpecializationRequest doomed = make_distinct_request("t");
   doomed.deadline_ms = 1.0;
   server::Ticket expired = srv.submit(std::move(doomed));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -264,7 +272,7 @@ TEST(Server, CancelMidCadReportsPartialProgress) {
   config.workers = 1;
   // jobs=1 keeps the pipeline serial: search runs to completion, the first
   // dispatch parks in the observer, and the cancellation surfaces at the
-  // ImplementationStage boundary check.
+  // check before the CAD flow starts.
   config.specializer.jobs = 1;
   config.pipeline_observer = &canceller;
   server::SpecializationServer srv(config);
@@ -816,20 +824,19 @@ TEST(Server, DeadQueuedRequestsFreeCapacityForLiveTraffic) {
   config.workers = 1;
   config.queue_capacity = 2;
   config.specializer.jobs = 1;
-  config.coalesce_requests = false;  // identical payloads must queue
   GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
   server::SpecializationServer srv(config);
   srv.add_observer(&gate);
 
-  server::Ticket running = srv.submit(make_request("t"));
+  server::Ticket running = srv.submit(make_distinct_request("t"));
   gate.wait_for_started(1);
-  server::Ticket q1 = srv.submit(make_request("t"));
-  server::Ticket q2 = srv.submit(make_request("t"));
+  server::Ticket q1 = srv.submit(make_distinct_request("t"));
+  server::Ticket q2 = srv.submit(make_distinct_request("t"));
   q1.cancel();
   q2.cancel();
   // The queue is nominally full, but both occupants are dead: the sweep
   // must reclaim their slots instead of rejecting live traffic.
-  server::Ticket live = srv.submit(make_request("t"));
+  server::Ticket live = srv.submit(make_distinct_request("t"));
   EXPECT_NE(live.state(), server::RequestState::Rejected);
 
   gate.release();
@@ -902,18 +909,17 @@ TEST(Server, StatsSurfaceCacheEvictionsAndEstimateHitRate) {
   server::ServerConfig config;
   config.workers = 1;
   config.specializer.jobs = 1;
-  config.coalesce_requests = false;  // the repeat must re-run the pipeline
   // A cache too small for one app's bitstreams forces capacity evictions.
   config.cache_capacity_bytes = 1;
   server::SpecializationServer srv(config);
 
-  srv.submit(make_request("t")).wait();
+  srv.submit(make_distinct_request("t")).wait();
   const server::ServerStats cold = srv.stats();
   EXPECT_GT(cold.cache_evictions, 0u);
   EXPECT_GT(cold.estimate_misses, 0u);
 
-  // Identical resubmission: every candidate estimate memoizes.
-  srv.submit(make_request("t")).wait();
+  // The same module again, renamed: every candidate estimate memoizes.
+  srv.submit(make_distinct_request("t")).wait();
   srv.drain();
   const server::ServerStats warm = srv.stats();
   EXPECT_GE(warm.cache_evictions, cold.cache_evictions);

@@ -108,7 +108,7 @@ TEST_P(StarvedKernel, StarvedPoolsAreUnprofitableNotEmpty) {
   hwlib::CircuitDb db;
   jit::ObserverList observers;
   const jit::SearchArtifact art =
-      jit::CandidateSearchStage(cfg).run(app.module, profile, db, observers);
+      jit::search_candidates(cfg, app.module, profile, db, observers);
 
   ASSERT_FALSE(art.scored.empty()) << c.app << " found no candidates at all";
   for (const ise::ScoredCandidate& sc : art.scored)
@@ -129,7 +129,7 @@ TEST(StarvationProbe, IsegenCannotUnstarveAstarPath) {
   hwlib::CircuitDb db;
   jit::ObserverList observers;
   const jit::SearchArtifact art =
-      jit::CandidateSearchStage(cfg).run(app.module, profile, db, observers);
+      jit::search_candidates(cfg, app.module, profile, db, observers);
   ASSERT_FALSE(art.scored.empty());
 
   const auto greedy = ise::select_greedy(art.scored, cfg.select);
@@ -153,7 +153,7 @@ TEST(StarvationProbe, GameTreeSelectionSurvivesIsegen) {
   hwlib::CircuitDb db;
   jit::ObserverList observers;
   const jit::SearchArtifact art =
-      jit::CandidateSearchStage(cfg).run(app.module, profile, db, observers);
+      jit::search_candidates(cfg, app.module, profile, db, observers);
 
   const auto greedy = ise::select_greedy(art.scored, cfg.select);
   ise::IsegenConfig generous;

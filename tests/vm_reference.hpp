@@ -4,8 +4,7 @@
 // bumps the four profile counters per instruction, looks the cost up by
 // (op, type), copies the whole constant frame on every call and finds each
 // phi's incoming arc by linear scan. `vm::Machine` runs a decoded form that
-// counts whole segments and folds the counts into the profile at run ends
-// and window closes. VmDecoded.MatchesReference in vm_test.cpp holds the
+// counts whole segments and folds the counts into the profile at run ends. VmDecoded.MatchesReference in vm_test.cpp holds the
 // two to identical results, profiles, windows and traps on fresh machines,
 // and VmDecoded.RepeatedRunsMatchReference across repeated runs and
 // clear_profile(). Keep these bodies unchanged: they are the specification.
@@ -79,11 +78,7 @@ class Machine {
 
   void clear_profile() noexcept {
     profile_.clear();
-    if (windowing_) {
-      window_base_.clear();
-      if (window_config_.instructions_per_window != 0)
-        window_next_ = window_config_.instructions_per_window;
-    }
+    if (windowing_) window_base_.clear();
   }
 
   void enable_windowing(const WindowConfig& config) {
@@ -91,20 +86,12 @@ class Machine {
     window_config_ = config;
     if (window_config_.ring_capacity == 0) window_config_.ring_capacity = 1;
     window_base_ = profile_;
-    window_next_ =
-        window_config_.instructions_per_window != 0
-            ? profile_.dyn_instructions + window_config_.instructions_per_window
-            : UINT64_MAX;
   }
 
   bool close_window() {
     if (!windowing_) return false;
     Profile delta = profile_.diff(window_base_);
     window_base_ = profile_;
-    if (window_config_.instructions_per_window != 0) {
-      window_next_ = profile_.dyn_instructions +
-                     window_config_.instructions_per_window;
-    }
     if (delta.empty()) return false;
     windows_.push_back(ProfileWindow{windows_closed_++, std::move(delta)});
     while (windows_.size() > window_config_.ring_capacity) windows_.pop_front();
@@ -159,9 +146,6 @@ class Machine {
 
     for (;;) {
       ++block_counts[cur];
-      // Windowed profiling tick: one compare against a sentinel (UINT64_MAX
-      // when disabled), so the non-windowed hot path pays a single branch.
-      if (profile_.dyn_instructions >= window_next_) close_window();
       const ir::BasicBlock& block = f.blocks[cur];
 
       // Phase 1: evaluate all phis against the incoming edge (parallel copy).
@@ -324,7 +308,6 @@ class Machine {
   bool windowing_ = false;
   WindowConfig window_config_;
   Profile window_base_;
-  std::uint64_t window_next_ = UINT64_MAX;
   std::deque<ProfileWindow> windows_;
   std::uint64_t windows_closed_ = 0;
   std::vector<std::vector<Slot>> const_frames_;

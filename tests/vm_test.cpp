@@ -394,29 +394,6 @@ TEST(Windowing, PerRunWindowsPartitionTheProfile) {
   EXPECT_EQ(machine.windows_closed(), 2u);
 }
 
-TEST(Windowing, InstructionTicksCloseMidRun) {
-  const Module m = make_sum_module();
-  Machine machine(m);
-  WindowConfig wc;
-  wc.instructions_per_window = 64;
-  wc.per_run = false;
-  machine.enable_windowing(wc);
-
-  const Slot args[] = {Slot::of_int(200)};
-  machine.run("sum", args);
-  EXPECT_GE(machine.windows().size(), 2u);
-  std::uint64_t covered = 0;
-  for (const auto& w : machine.windows()) {
-    EXPECT_FALSE(w.delta.empty());
-    covered += w.delta.dyn_instructions;
-  }
-  // Everything but the open tail window has been emitted.
-  EXPECT_LE(covered, machine.profile().dyn_instructions);
-  EXPECT_TRUE(machine.close_window());
-  covered += machine.windows().back().delta.dyn_instructions;
-  EXPECT_EQ(covered, machine.profile().dyn_instructions);
-}
-
 TEST(Windowing, RingCapacityBoundsRetention) {
   const Module m = make_sum_module();
   Machine machine(m);
@@ -571,11 +548,17 @@ struct Case {
   const Module* module = nullptr;
   FuncId fn = 0;
   std::vector<Slot> args;
-  WindowConfig windows{};
   std::uint64_t budget = 1ull << 32;
   CustomOpHandler handler{};
   bool traps = false;  // the run is expected to throw
 };
+
+/// Per-run windows, with room to retain every window a case closes.
+WindowConfig run_windows() {
+  WindowConfig wc;
+  wc.ring_capacity = 256;
+  return wc;
+}
 
 /// Runs `c` on a decoded and a reference machine. A run that throws runs
 /// once more on the same two machines: the rerun starts from whatever the
@@ -586,8 +569,8 @@ std::string compare(const Case& c) {
   reference::Machine ref(*c.module);
   decoded.set_custom_handler(c.handler);
   ref.set_custom_handler(c.handler);
-  decoded.enable_windowing(c.windows);
-  ref.enable_windowing(c.windows);
+  decoded.enable_windowing(run_windows());
+  ref.enable_windowing(run_windows());
   const Observed got = observe(decoded, c.fn, c.args, c.budget);
   std::string diff = difference(got, observe(ref, c.fn, c.args, c.budget));
   if (diff.empty() && got.error.empty() == c.traps)
@@ -597,19 +580,6 @@ std::string compare(const Case& c) {
   diff = difference(observe(decoded, c.fn, c.args, c.budget),
                     observe(ref, c.fn, c.args, c.budget));
   return diff.empty() ? "" : c.name + " (rerun): " + diff;
-}
-
-WindowConfig tick_windows() {
-  WindowConfig wc;
-  wc.instructions_per_window = 997;
-  wc.ring_capacity = 256;
-  return wc;
-}
-
-WindowConfig run_windows() {
-  WindowConfig wc;
-  wc.ring_capacity = 256;
-  return wc;
 }
 
 FuncId function_id(const Module& m, std::string_view name) {
@@ -622,12 +592,10 @@ std::uint64_t run_length(const Case& c) {
   return probe.run(c.fn, c.args).steps;
 }
 
-/// Data set `ds` of `app`: the train set closes windows on instruction
-/// ticks, every other set per run.
+/// Data set `ds` of `app`.
 Case dataset_case(const apps::App& app, std::size_t ds) {
   return Case{app.name + "/" + app.datasets[ds].name, &app.module,
-              function_id(app.module, app.entry), app.datasets[ds].args,
-              ds == 0 ? tick_windows() : run_windows()};
+              function_id(app.module, app.entry), app.datasets[ds].args};
 }
 
 /// `app` rewritten with the custom instructions of its train-set profile,
@@ -642,14 +610,12 @@ Case rewritten_case(std::deque<jit::SpecializationResult>& specialized,
       jit::specialize(app.module, profiler.profile(), config));
   EXPECT_FALSE(spec.registry.all().empty()) << app.name;
   Case c{app.name + " rewritten", &spec.rewritten,
-         function_id(spec.rewritten, app.entry), app.datasets[0].args,
-         tick_windows()};
+         function_id(spec.rewritten, app.entry), app.datasets[0].args};
   c.handler = spec.registry.handler();
   return c;
 }
 
-/// A random program; even seeds close windows on instruction ticks, odd
-/// seeds per run.
+/// A random program.
 Case random_case(std::deque<Module>& modules, std::uint64_t seed) {
   RandomProgramConfig config;
   config.seed = seed;
@@ -658,8 +624,7 @@ Case random_case(std::deque<Module>& modules, std::uint64_t seed) {
   config.ops_per_block = 6 + seed % 6;
   const Module& m = modules.emplace_back(generate_random_program(config));
   return Case{"random seed " + std::to_string(seed), &m, function_id(m, "main"),
-              {Slot::of_int(static_cast<std::int64_t>(seed * 37 % 101) - 20)},
-              seed % 2 == 0 ? tick_windows() : run_windows()};
+              {Slot::of_int(static_cast<std::int64_t>(seed * 37 % 101) - 20)}};
 }
 
 /// Adds `c` at `budget`; the run traps when it is longer than the budget.
@@ -672,18 +637,16 @@ void add_budget(std::vector<Case>& cases, Case c, std::uint64_t budget,
 }
 
 /// Adds `c` at full budget and at budgets that run out at the start, in the
-/// middle and at the last instruction of the run. The budget variants close
-/// windows per run only: a run that runs out of budget closes none, so they
-/// check the profile a trap leaves.
+/// middle and at the last instruction of the run. A run that runs out of
+/// budget closes no window, so the budget variants check the profile a trap
+/// leaves.
 void add_budgets(std::vector<Case>& cases, const Case& c) {
   const std::uint64_t steps = run_length(c);
   cases.push_back(c);
-  Case limited = c;
-  limited.windows = run_windows();
   for (std::uint64_t budget :
        {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{7},
         steps / 3, steps / 2 + 1, steps - 1})
-    add_budget(cases, limited, budget, steps);
+    add_budget(cases, c, budget, steps);
 }
 
 /// Hand-built modules whose @main traps, by what traps.
@@ -788,13 +751,13 @@ TEST(VmDecoded, MatchesReference) {
     if (app.domain == apps::Domain::Embedded)
       cases.push_back(rewritten_case(specialized, app));
 
-  // Random programs, alternating the two window modes.
+  // Random programs.
   for (std::uint64_t seed = 1; seed <= 60; ++seed)
     add_budgets(cases, random_case(modules, seed));
 
   // Every budget of a phi loop, so the budget runs out inside a phi group.
   const Module& sum = modules.emplace_back(make_sum_module());
-  const Case loop{"sum", &sum, 0, {Slot::of_int(9)}, tick_windows()};
+  const Case loop{"sum", &sum, 0, {Slot::of_int(9)}};
   const std::uint64_t loop_steps = run_length(loop);
   for (std::uint64_t budget = 1; budget <= loop_steps; ++budget)
     add_budget(cases, loop, budget, loop_steps);
@@ -805,7 +768,7 @@ TEST(VmDecoded, MatchesReference) {
     for (std::uint64_t budget :
          {std::uint64_t{2}, std::uint64_t{5}, std::uint64_t{1} << 32}) {
       Case c{what + " budget " + std::to_string(budget), &m,
-             function_id(m, "main"), {}, tick_windows()};
+             function_id(m, "main"), {}};
       if (m.functions[c.fn].params.size() == 1) c.args = {Slot::of_int(0)};
       c.budget = budget;
       c.traps = true;
@@ -826,8 +789,8 @@ std::string compare_repeated(const Case& c) {
   reference::Machine ref(*c.module);
   decoded.set_custom_handler(c.handler);
   ref.set_custom_handler(c.handler);
-  decoded.enable_windowing(c.windows);
-  ref.enable_windowing(c.windows);
+  decoded.enable_windowing(run_windows());
+  ref.enable_windowing(run_windows());
   Profile got_before = decoded.snapshot(), want_before = ref.snapshot();
   for (int run = 1; run <= 3; ++run) {
     if (run == 3) {
