@@ -8,6 +8,7 @@
 // shape the CAD flow actually places. BM_Corpus places, routes and times
 // every distinct design that cold specialization implements, with `place`
 // and with `place_greedy` (its seed), and sums quality over the corpus.
+// `heap_pops` counts the router's sink-search heap pops.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -113,14 +114,16 @@ void BM_RouteCandidate(benchmark::State& state, const char* app) {
   const bench::SelectedDesign c = largest_selected_candidate(app);
   const fpga::Fabric fabric;
   const auto placement = fpga::place(c.design, fabric, c.placer);
-  std::uint64_t wirelength = 0;
+  std::uint64_t wirelength = 0, heap_pops = 0;
   for (auto _ : state) {
     auto routing = fpga::route(c.design, fabric, placement);
     wirelength = routing.total_wirelength;
+    heap_pops = routing.heap_pops;
     benchmark::DoNotOptimize(routing);
   }
   shape_counters(state, c.design);
   state.counters["wirelength"] = static_cast<double>(wirelength);
+  state.counters["heap_pops"] = static_cast<double>(heap_pops);
 }
 BENCHMARK_CAPTURE(BM_RouteCandidate, whetstone, "whetstone")
     ->Unit(benchmark::kMillisecond);
@@ -136,7 +139,7 @@ void BM_Corpus(benchmark::State& state, bool greedy) {
   const std::vector<bench::SelectedDesign> corpus = bench::cold_designs();
   const fpga::Fabric fabric;
   double place_ms = 0, route_ms = 0, sta_ms = 0, hpwl = 0, critical_ns = 0;
-  std::uint64_t wirelength = 0, failures = 0;
+  std::uint64_t wirelength = 0, failures = 0, heap_pops = 0;
   for (auto _ : state) {
     for (const bench::SelectedDesign& c : corpus) {
       support::Stopwatch sw;
@@ -154,6 +157,7 @@ void BM_Corpus(benchmark::State& state, bool greedy) {
       sta_ms += sw.elapsed_ms();
       hpwl += placement.hpwl;
       wirelength += routing.total_wirelength;
+      heap_pops += routing.heap_pops;
       failures += routing.success ? 0 : 1;
       critical_ns += timing.critical_path_ns;
       benchmark::DoNotOptimize(timing);
@@ -170,6 +174,7 @@ void BM_Corpus(benchmark::State& state, bool greedy) {
   state.counters["routed_wl"] = per_pass(static_cast<double>(wirelength));
   state.counters["critical_ns"] = per_pass(critical_ns);
   state.counters["route_failures"] = per_pass(static_cast<double>(failures));
+  state.counters["heap_pops"] = per_pass(static_cast<double>(heap_pops));
 }
 BENCHMARK_CAPTURE(BM_Corpus, place, false)
     ->Unit(benchmark::kMillisecond);

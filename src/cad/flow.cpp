@@ -55,8 +55,7 @@ ImplementationResult implement_candidate(const datapath::CadProject& project,
 
   // Stage 5: Place & Route (routing + timing closure).
   sw.reset();
-  const fpga::RoutingResult routing =
-      fpga::route(design, fabric, placement, config.router);
+  const fpga::RoutingResult routing = fpga::route(design, fabric, placement);
   if (!routing.success)
     throw fpga::CadError("routing did not converge: " +
                          std::to_string(routing.overused_edges) +

@@ -61,7 +61,6 @@ struct ToolFlowConfig {
   fpga::FabricConfig fabric = fpga::FabricConfig::woolcano_pr_region();
   CadRuntimeModel runtime;
   fpga::PlacerConfig placer;
-  fpga::RouterConfig router;
   fpga::DelayModel delays;
 };
 

@@ -50,9 +50,8 @@ Bitstream generate_bitstream(const MappedDesign& design, const Fabric& fabric,
   std::vector<std::uint16_t> tile_switch(static_cast<std::size_t>(w) * h, 0);
   for (const RoutedNet& rn : routing.nets) {
     for (std::uint32_t eid : rn.edges) {
-      const std::uint32_t tile = eid / 4;
-      const unsigned dir = eid % 4;
-      const unsigned shift = dir * 4;
+      const std::uint32_t tile = edge_from(eid);
+      const unsigned shift = edge_direction(eid) * 4;
       const std::uint16_t cur = (tile_switch[tile] >> shift) & 0xF;
       if (cur < 0xF) {
         tile_switch[tile] =

@@ -1,6 +1,7 @@
 #include "fpga/place.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 
@@ -56,6 +57,8 @@ constexpr double kStopTemp = 0.005;
 constexpr std::uint64_t kMovesPerCell = 3;  // per temperature
 /// The move range grows above this acceptance rate and shrinks below it.
 constexpr double kTargetAcceptance = 0.44;
+/// Deltas below this read their acceptance probability from a table.
+constexpr std::size_t kAcceptTableSize = 32;
 
 /// VPR's cooling: fast while nearly every move is accepted (the temperature
 /// is still too high to matter) or nearly none is (frozen), slow in between.
@@ -248,9 +251,19 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
   const double max_rlim = std::max(w, h);
   double rlim = max_rlim / 4.0;
   const std::uint64_t moves = kMovesPerCell * static_cast<std::uint64_t>(n);
+  // The acceptance probability exp(-delta / temp) of the small deltas,
+  // computed once per temperature; larger deltas compute it per move.
+  std::array<double, kAcceptTableSize> accept_table{};
   for (double temp = kStartTemp * mean_net; temp > kStopTemp * mean_net;) {
     std::uint64_t tried = 0, accepted = 0;
     const auto r = static_cast<int>(rlim);
+    for (std::size_t d = 1; d < kAcceptTableSize; ++d)
+      accept_table[d] = std::exp(-static_cast<double>(d) / temp);
+    auto acceptance_probability = [&](std::int64_t delta) {
+      return delta < static_cast<std::int64_t>(kAcceptTableSize)
+                 ? accept_table[static_cast<std::size_t>(delta)]
+                 : std::exp(-static_cast<double>(delta) / temp);
+    };
     for (std::uint64_t m = 0; m < moves; ++m) {
       const auto a = static_cast<hwlib::CellId>(rng.below(n));
       const Coord pa = pl.location[a];
@@ -268,8 +281,7 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
       undo.clear();
       std::int64_t delta = move_cell(a, pb);
       if (b >= 0) delta += move_cell(static_cast<hwlib::CellId>(b), pa);
-      if (delta <= 0 ||
-          rng.uniform() < std::exp(-static_cast<double>(delta) / temp)) {
+      if (delta <= 0 || rng.uniform() < acceptance_probability(delta)) {
         occupant[site_index(pb)] = a;
         occupant[site_index(pa)] = b;
         cost += delta;

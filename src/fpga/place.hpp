@@ -15,6 +15,12 @@
 // is two single-cell moves in turn. Every term is an integer and each cell
 // counts once per net, so the tracked cost is exactly the placement's total
 // HPWL.
+//
+// A move that raises the cost by delta is accepted with probability
+// exp(-delta / temp). Deltas are integers, so the probabilities of the
+// small ones are tabled once per temperature, each computed by the same
+// expression from the same operands as a per-move call: every accept
+// decision and random draw, and so every placement, is unchanged.
 #pragma once
 
 #include <cstdint>

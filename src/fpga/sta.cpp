@@ -34,16 +34,6 @@ TimingReport analyze_timing(const MappedDesign& design, const Fabric& fabric,
     const Coord p = placement.location[c];
     return static_cast<std::uint32_t>(p.y) * w + p.x;
   };
-  // Endpoints of edge id tile*4 + dir, the routing graph's convention.
-  auto edge_to = [&](std::uint32_t eid) {
-    const std::uint32_t from = eid / 4;
-    switch (eid % 4) {
-      case 0: return from + 1;
-      case 1: return from - 1;
-      case 2: return from + w;
-      default: return from - w;
-    }
-  };
 
   // Build cell adjacency (driver -> sink) with edge delays.
   struct Arc {
@@ -71,10 +61,10 @@ TimingReport analyze_timing(const MappedDesign& design, const Fabric& fabric,
       path.clear();
       for (std::uint32_t eid : routing.nets[ni].edges) {
         path.push_back(eid);
-        if (reached[eid / 4] != stamp) continue;
+        if (reached[edge_from(eid)] != stamp) continue;
         for (auto it = path.rbegin(); it != path.rend(); ++it) {
-          const std::uint32_t to = edge_to(*it);
-          depth[to] = depth[*it / 4] + delays.wire_hop_ns;
+          const std::uint32_t to = edge_to(*it, w);
+          depth[to] = depth[edge_from(*it)] + delays.wire_hop_ns;
           reached[to] = stamp;
         }
         path.clear();

@@ -1,9 +1,10 @@
 // Test-only reference implementation of the router.
 //
 // `reference::route` computes everything from scratch: it allocates a fresh
-// distance map and seeds its heap with the whole tree for every sink.
-// `fpga::route` computes the same result incrementally, and the
-// differential test in fpga_test.cpp holds it to bit-identical output.
+// distance map and seeds its heap with the whole tree for every sink, and
+// its searches are unbounded. `fpga::route` computes the same result with
+// reused scratch state and goal-bounded searches, and the differential test
+// in fpga_test.cpp holds it to bit-identical output.
 // Keep this body unchanged: it is the specification.
 #pragma once
 
@@ -16,7 +17,20 @@
 
 namespace jitise::fpga::reference {
 
+/// The router's schedule, which `fpga::route` keeps as constants.
+struct RouterConfig {
+  std::uint32_t max_iterations = 32;
+  double present_factor = 0.6;       // initial present-congestion penalty
+  double history_increment = 0.35;   // per-iteration history on overuse
+};
+
 namespace detail {
+
+/// A directed channel between adjacent tiles.
+struct Edge {
+  std::uint32_t from = 0;  // tile index y*W+x
+  std::uint32_t to = 0;
+};
 
 /// Flat grid routing graph: 4 directed edges per tile (to N/S/E/W).
 class RoutingGraph {

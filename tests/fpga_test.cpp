@@ -426,6 +426,13 @@ const std::vector<CandidateDesign>& candidate_corpus() {
   return corpus;
 }
 
+/// bench::cold_designs(), built once per test binary.
+const std::vector<bench::SelectedDesign>& cold_corpus() {
+  static const std::vector<bench::SelectedDesign> corpus =
+      bench::cold_designs();
+  return corpus;
+}
+
 void expect_same_routing(const fpga::RoutingResult& got,
                          const fpga::RoutingResult& want,
                          const std::string& what) {
@@ -475,11 +482,10 @@ TEST(Placer, CorpusQuality) {
   // the full-region annealer that `place` replaced, and summed critical path
   // no longer than its greedy seed's 1,687.03 ns.
   const fpga::Fabric region;
-  const std::vector<bench::SelectedDesign> corpus = bench::cold_designs();
-  ASSERT_EQ(corpus.size(), 58u);
+  ASSERT_EQ(cold_corpus().size(), 58u);
   std::uint64_t wirelength = 0;
   double critical_ns = 0.0;
-  for (const bench::SelectedDesign& c : corpus) {
+  for (const bench::SelectedDesign& c : cold_corpus()) {
     const auto placement = fpga::place(c.design, region, c.placer);
     EXPECT_TRUE(placement.legal(c.design, region)) << c.app;
     EXPECT_EQ(placement.location,
@@ -528,6 +534,44 @@ TEST(Router, MatchesReference) {
                         fpga::reference::route(c.design, region, placement, {}),
                         c.design.name);
   }
+
+  // The largest final selection of each app, placed by `place_greedy`.
+  // There, whetstone's and 444.namd's designs, with their 387-sink buses,
+  // take 6 and 10 rip-up iterations, so the search bound meets history and
+  // present-congestion costs.
+  std::uint32_t greedy_iterations = 0;
+  for (const std::string app : {"whetstone", "444.namd", "188.ammp"}) {
+    const bench::SelectedDesign* largest = nullptr;
+    for (const bench::SelectedDesign& c : cold_corpus()) {
+      if (c.app != app) continue;
+      if (largest == nullptr ||
+          c.design.cell_count() > largest->design.cell_count())
+        largest = &c;
+    }
+    ASSERT_NE(largest, nullptr) << app;
+    const auto placement = fpga::place_greedy(largest->design, region);
+    const auto want =
+        fpga::reference::route(largest->design, region, placement, {});
+    expect_same_routing(fpga::route(largest->design, region, placement), want,
+                        app + " greedy");
+    greedy_iterations = std::max(greedy_iterations, want.iterations);
+  }
+  EXPECT_GT(greedy_iterations, 2u)
+      << "no greedy placement needed rip-up and reroute";
+}
+
+TEST(Router, BoundedSearchPopsFewTiles) {
+  // The search bound changes no route, so only its work shows that it
+  // holds: the heap pops over the corpus cold specialization implements,
+  // each design placed with the CAD flow's seed. The unbounded search pops
+  // 1,287,707 tiles there; the bounded one pops 75,635.
+  const fpga::Fabric region;
+  std::uint64_t heap_pops = 0;
+  for (const bench::SelectedDesign& c : cold_corpus()) {
+    const auto placement = fpga::place(c.design, region, c.placer);
+    heap_pops += fpga::route(c.design, region, placement).heap_pops;
+  }
+  EXPECT_LE(heap_pops, 75635u);
 }
 
 TEST(RuntimeModel, CoarseGrainedOverlayIsMuchFaster) {
