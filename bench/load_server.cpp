@@ -6,9 +6,10 @@
 // plus the server-level counters (queue high-water, rejections, pool task
 // and occupancy stats, shared cache/estimate hit rates) and the peak OS
 // thread count of the whole process (sampled from /proc/self/status), so the
-// shared-pool bounded-threads claim is directly observable. Every session
-// runs on the server's one thread pool of --workers threads;
-// --sessions sets the session concurrency independently of the pool width.
+// shared-pool bounded-threads claim is directly observable. Every session's
+// CAD runs on the server's one thread pool of --workers threads and on its
+// own coordinator while that waits; --sessions sets the session concurrency
+// independently of the pool width.
 //
 // The workload is fully deterministic from --seed in *content* (which tenant
 // submits which app at which priority); completion order and latency numbers
@@ -69,7 +70,8 @@ void usage(const char* prog) {
       "  --tenants N     concurrent tenants (default 4)\n"
       "  --requests N    requests per tenant (default 6)\n"
       "  --workers N     compute threads in the shared thread pool\n"
-      "                  (default 2); bounds the CAD threads\n"
+      "                  (default 2); each session's coordinator also runs\n"
+      "                  its own queued CAD while it waits\n"
       "  --sessions N    concurrent sessions (default: same as --workers)\n"
       "  --queue-cap N   admission queue capacity (default 16)\n"
       "  --arrival-us N  mean per-tenant inter-submit gap (default 200)\n"

@@ -3,9 +3,14 @@
 // BM_CandidateSearch isolates Phase 1 — the serial prune -> identify ->
 // estimate -> select loop — and sweeps candidate volume (blocks per
 // function). BM_Specialize runs the full specializer (CAD flow included) on
-// the fft app across jobs. BM_MultiSession runs S concurrent sessions
-// specializing distinct programs on one shared ThreadPool of W workers, as
-// the specialization server does.
+// the fft app across jobs; `jobs` counts the calling thread, which runs
+// queued CAD chains while it waits, so `jobs:2` is one pool worker plus the
+// caller. BM_ColdSpecialize runs one cold specialization of whetstone or
+// 444.namd on a borrowed 2-worker pool, the specialization server's default
+// shape, timed in real time: the sweep runs on the two workers and the
+// calling thread. BM_MultiSession runs S concurrent sessions specializing
+// distinct programs on one shared ThreadPool of W workers, as the
+// specialization server does.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -84,6 +89,29 @@ BENCHMARK(BM_Specialize)
     ->ArgsProduct({{1, 2, 4}})
     ->ArgNames({"jobs"})
     ->Unit(benchmark::kMillisecond);
+
+/// One cold specialization (no bitstream or estimate cache) of `app_name`
+/// per iteration, on a borrowed pool of two workers like a server session.
+void BM_ColdSpecialize(benchmark::State& state, const char* app_name) {
+  const apps::App app = apps::build_app(app_name);
+  vm::Machine machine(app.module);
+  machine.run(app.entry, app.datasets[0].args, 1ull << 30);
+  const vm::Profile profile = machine.profile();
+
+  support::ThreadPool pool(2);
+  const jit::SpecializerConfig config;  // jobs = 0: the borrowed pool's CAD
+  for (auto _ : state) {
+    jit::SpecializationPipeline pipeline(config, nullptr, nullptr, &pool);
+    auto result = pipeline.run(app.module, profile);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK_CAPTURE(BM_ColdSpecialize, whetstone, "whetstone")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_ColdSpecialize, namd, "444.namd")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// `sessions` concurrent pipelines over distinct programs, all borrowing
 /// one ThreadPool of `workers` threads.

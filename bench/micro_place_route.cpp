@@ -8,7 +8,9 @@
 // shape the CAD flow actually places. BM_Corpus places, routes and times
 // every distinct design that cold specialization implements, with `place`
 // and with `place_greedy` (its seed), and sums quality over the corpus.
-// `heap_pops` counts the router's sink-search heap pops.
+// `heap_pops` counts the router's sink-search heap pops; `moves_tried` and
+// `moves_accepted` count the anneal's moves, so they pin its trajectory, not
+// only where it ends (both read 0 for greedy, which does not anneal).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -140,6 +142,7 @@ void BM_Corpus(benchmark::State& state, bool greedy) {
   const fpga::Fabric fabric;
   double place_ms = 0, route_ms = 0, sta_ms = 0, hpwl = 0, critical_ns = 0;
   std::uint64_t wirelength = 0, failures = 0, heap_pops = 0;
+  std::uint64_t moves_tried = 0, moves_accepted = 0;
   for (auto _ : state) {
     for (const bench::SelectedDesign& c : corpus) {
       support::Stopwatch sw;
@@ -156,6 +159,8 @@ void BM_Corpus(benchmark::State& state, bool greedy) {
           fpga::analyze_timing(c.design, fabric, placement, routing);
       sta_ms += sw.elapsed_ms();
       hpwl += placement.hpwl;
+      moves_tried += placement.moves_tried;
+      moves_accepted += placement.moves_accepted;
       wirelength += routing.total_wirelength;
       heap_pops += routing.heap_pops;
       failures += routing.success ? 0 : 1;
@@ -175,6 +180,9 @@ void BM_Corpus(benchmark::State& state, bool greedy) {
   state.counters["critical_ns"] = per_pass(critical_ns);
   state.counters["route_failures"] = per_pass(static_cast<double>(failures));
   state.counters["heap_pops"] = per_pass(static_cast<double>(heap_pops));
+  state.counters["moves_tried"] = per_pass(static_cast<double>(moves_tried));
+  state.counters["moves_accepted"] =
+      per_pass(static_cast<double>(moves_accepted));
 }
 BENCHMARK_CAPTURE(BM_Corpus, place, false)
     ->Unit(benchmark::kMillisecond);

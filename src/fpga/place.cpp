@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <span>
 
 #include "support/rng.hpp"
@@ -23,16 +25,52 @@ double net_hpwl(const MappedNet& net, const std::vector<Coord>& loc) {
   return static_cast<double>(xmax - xmin) + static_cast<double>(ymax - ymin);
 }
 
-/// Rows of ids flattened into one array (compressed sparse rows): row `r`
-/// is `items[offset[r] .. offset[r + 1])`.
-struct Csr {
+/// Rows of items flattened into one array (compressed sparse rows): row
+/// `r` is `items[offset[r] .. offset[r + 1])`.
+template <typename T>
+struct Rows {
   std::vector<std::uint32_t> offset{0};
-  std::vector<std::uint32_t> items;
+  std::vector<T> items;
 
-  [[nodiscard]] std::span<const std::uint32_t> row(std::size_t r) const {
+  Rows() = default;
+  explicit Rows(const std::vector<std::vector<T>>& rows) {
+    for (const std::vector<T>& row : rows) {
+      items.insert(items.end(), row.begin(), row.end());
+      offset.push_back(static_cast<std::uint32_t>(items.size()));
+    }
+  }
+
+  [[nodiscard]] std::span<const T> row(std::size_t r) const {
     return {items.data() + offset[r], items.data() + offset[r + 1]};
   }
 };
+using Csr = Rows<std::uint32_t>;
+
+/// A two-pin net of some cell, with the net's other pin.
+struct Partner {
+  std::uint32_t net = 0;
+  std::uint32_t cell = 0;
+};
+
+[[nodiscard]] bool contains(std::span<const std::uint32_t> row,
+                            std::uint32_t id) {
+  return std::find(row.begin(), row.end(), id) != row.end();
+}
+
+/// The HPWL of the distinct pin cells `cells`.
+std::int32_t span_hpwl(std::span<const std::uint32_t> cells,
+                       const std::vector<Coord>& loc) {
+  const Coord first = loc[cells.front()];
+  std::uint16_t xmin = first.x, xmax = first.x;
+  std::uint16_t ymin = first.y, ymax = first.y;
+  for (std::uint32_t c : cells.subspan(1)) {
+    xmin = std::min(xmin, loc[c].x);
+    xmax = std::max(xmax, loc[c].x);
+    ymin = std::min(ymin, loc[c].y);
+    ymax = std::max(ymax, loc[c].y);
+  }
+  return (xmax - xmin) + (ymax - ymin);
+}
 
 /// A net's bounding box and the number of its pins on each edge; its half
 /// perimeter is the net's HPWL.
@@ -46,7 +84,8 @@ struct Box {
 };
 
 /// Nets with at most this many pins are rescanned on every move: that is
-/// cheaper than the poorly predicted edge-count update.
+/// cheaper than the poorly predicted edge-count update. Only larger nets
+/// keep an edge-counted box.
 constexpr std::size_t kAlwaysRescanPins = 8;
 
 /// The anneal's schedule. Temperatures are in mean net HPWLs of the greedy
@@ -159,6 +198,7 @@ bool Placement::legal(const MappedDesign& design, const Fabric& fabric) const {
 Placement place(const MappedDesign& design, const Fabric& fabric,
                 const PlacerConfig& config) {
   Placement pl = place_greedy(design, fabric);
+  std::vector<Coord>& loc = pl.location;
   const std::size_t n = design.cells.size();
   const std::size_t num_nets = design.nets.size();
   support::Xoshiro256 rng(config.seed);
@@ -185,59 +225,90 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
   auto site_index = [&](Coord p) {
     return static_cast<std::size_t>(p.y) * w + p.x;
   };
-  for (hwlib::CellId c = 0; c < n; ++c) occupant[site_index(pl.location[c])] = c;
+  for (hwlib::CellId c = 0; c < n; ++c) occupant[site_index(loc[c])] = c;
 
-  // The distinct pin cells of each net (driver first) and the nets touching
-  // each cell, flattened into CSR rows: a cell a net lists twice is one pin
-  // of it, so a move visits each of its cell's nets once.
-  std::vector<std::vector<std::uint32_t>> cell_nets(n);
+  // The distinct pin cells of each net (driver first), as CSR rows: a cell
+  // a net lists twice is one pin of it. Each cell's nets are split by size
+  // into three rows: its two-pin nets, each with the other pin's cell; its
+  // nets of up to kAlwaysRescanPins pins; and the larger ones, by their
+  // index into `big`. A one-pin net has HPWL 0 wherever its cell goes, so
+  // no row holds it.
   Csr pins;
+  std::vector<std::uint32_t> last_net(n, UINT32_MAX);
   for (std::uint32_t ni = 0; ni < num_nets; ++ni) {
     auto add_pin = [&](hwlib::CellId cell) {
-      if (!cell_nets[cell].empty() && cell_nets[cell].back() == ni) return;
-      cell_nets[cell].push_back(ni);
+      if (last_net[cell] == ni) return;
+      last_net[cell] = ni;
       pins.items.push_back(cell);
     };
     add_pin(design.nets[ni].driver);
     for (hwlib::CellId s : design.nets[ni].sinks) add_pin(s);
     pins.offset.push_back(static_cast<std::uint32_t>(pins.items.size()));
   }
-  Csr nets_of_cell;
-  for (const std::vector<std::uint32_t>& nets : cell_nets) {
-    nets_of_cell.items.insert(nets_of_cell.items.end(), nets.begin(),
-                              nets.end());
-    nets_of_cell.offset.push_back(
-        static_cast<std::uint32_t>(nets_of_cell.items.size()));
+  std::vector<std::vector<Partner>> pairs_of(n);
+  std::vector<std::vector<std::uint32_t>> small_of(n), big_of(n);
+  std::vector<std::uint32_t> big;  // net ids of the large nets
+  for (std::uint32_t ni = 0; ni < num_nets; ++ni) {
+    const std::span<const std::uint32_t> net_pins = pins.row(ni);
+    if (net_pins.size() == 2) {
+      pairs_of[net_pins[0]].push_back({ni, net_pins[1]});
+      pairs_of[net_pins[1]].push_back({ni, net_pins[0]});
+    } else if (net_pins.size() > kAlwaysRescanPins) {
+      for (std::uint32_t c : net_pins)
+        big_of[c].push_back(static_cast<std::uint32_t>(big.size()));
+      big.push_back(ni);
+    } else if (net_pins.size() > 2) {
+      for (std::uint32_t c : net_pins) small_of[c].push_back(ni);
+    }
   }
+  const Rows<Partner> pairs(pairs_of);
+  const Csr small_nets(small_of), big_nets(big_of);
 
-  // Incremental cost: every net's box is kept for the whole run, and `cost`
-  // is the sum of their half perimeters.
-  std::vector<Box> box(num_nets);
+  // Incremental cost: every net's HPWL, and the box of each large net, are
+  // kept for the whole run, and `cost` is the sum of the HPWLs.
+  std::vector<std::int32_t> wl(num_nets);
   std::int64_t cost = 0;
-  for (std::size_t ni = 0; ni < num_nets; ++ni) {
-    box[ni] = bounding_box(pins.row(ni), pl.location);
-    cost += box[ni].hpwl();
+  for (std::uint32_t ni = 0; ni < num_nets; ++ni) {
+    wl[ni] = span_hpwl(pins.row(ni), loc);
+    cost += wl[ni];
   }
+  std::vector<Box> box(big.size());
+  for (std::size_t k = 0; k < big.size(); ++k)
+    box[k] = bounding_box(pins.row(big[k]), loc);
 
-  // Moves `cell` to `to`, updates the boxes of its nets and returns the
-  // change in HPWL. A swap is two such moves in turn, so a net holding both
-  // cells sees two single-pin moves. `undo` keeps each changed box's old
-  // value, to restore on reject.
-  std::vector<std::pair<std::uint32_t, Box>> undo;
-  auto move_cell = [&](hwlib::CellId cell, Coord to) {
-    const Coord from = pl.location[cell];
-    pl.location[cell] = to;
+  // The new HPWL of each net a move touches, and the new box of each large
+  // one, committed only if the move is accepted.
+  std::vector<std::pair<std::uint32_t, std::int32_t>> pending_wl;
+  std::vector<std::pair<std::uint32_t, Box>> pending_box;
+  // Returns the HPWL change of the nets of `cell`, which moved from `from`
+  // to `to` (both cells of a swap already written to `loc`), and queues
+  // their new values. A net `other` (the swapped cell, or -1) also holds
+  // keeps its pin positions, so its HPWL stays: such nets are skipped. A
+  // two-pin net needs no check, since the pair it joins moves to each
+  // other's place and adds 0.
+  auto evaluate = [&](hwlib::CellId cell, Coord from, Coord to,
+                      std::int64_t other) {
     std::int64_t delta = 0;
-    for (std::uint32_t ni : nets_of_cell.row(cell)) {
-      Box& bb = box[ni];
-      undo.emplace_back(ni, bb);
-      const std::int64_t before = bb.hpwl();
-      const std::span<const std::uint32_t> net_pins = pins.row(ni);
-      if (net_pins.size() <= kAlwaysRescanPins ||
-          !move_pin(from.x, to.x, bb.xmin, bb.on_xmin, bb.xmax, bb.on_xmax) ||
+    for (const Partner& p : pairs.row(cell)) {
+      const Coord q = loc[p.cell];
+      const std::int32_t hpwl = std::abs(to.x - q.x) + std::abs(to.y - q.y);
+      delta += hpwl - wl[p.net];
+      pending_wl.emplace_back(p.net, hpwl);
+    }
+    for (std::uint32_t ni : small_nets.row(cell)) {
+      if (other >= 0 && contains(small_nets.row(other), ni)) continue;
+      const std::int32_t hpwl = span_hpwl(pins.row(ni), loc);
+      delta += hpwl - wl[ni];
+      pending_wl.emplace_back(ni, hpwl);
+    }
+    for (std::uint32_t k : big_nets.row(cell)) {
+      if (other >= 0 && contains(big_nets.row(other), k)) continue;
+      Box bb = box[k];
+      if (!move_pin(from.x, to.x, bb.xmin, bb.on_xmin, bb.xmax, bb.on_xmax) ||
           !move_pin(from.y, to.y, bb.ymin, bb.on_ymin, bb.ymax, bb.on_ymax))
-        bb = bounding_box(net_pins, pl.location);
-      delta += bb.hpwl() - before;
+        bb = bounding_box(pins.row(big[k]), loc);
+      delta += bb.hpwl() - box[k].hpwl();
+      pending_box.emplace_back(k, bb);
     }
     return delta;
   };
@@ -266,7 +337,7 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
     };
     for (std::uint64_t m = 0; m < moves; ++m) {
       const auto a = static_cast<hwlib::CellId>(rng.below(n));
-      const Coord pa = pl.location[a];
+      const Coord pa = loc[a];
       // A site of a's kind within rlim of a, clamped to the region.
       const std::vector<std::uint32_t>& kind_left = left[pool[a]];
       const std::uint32_t lo = kind_left[std::max(0, pa.x - r)];
@@ -278,19 +349,22 @@ Placement place(const MappedDesign& design, const Fabric& fabric,
       if (pa == pb) continue;  // no move: neither tried nor accepted
       ++tried;
       const std::int64_t b = occupant[site_index(pb)];
-      undo.clear();
-      std::int64_t delta = move_cell(a, pb);
-      if (b >= 0) delta += move_cell(static_cast<hwlib::CellId>(b), pa);
+      loc[a] = pb;
+      if (b >= 0) loc[static_cast<std::size_t>(b)] = pa;
+      pending_wl.clear();
+      pending_box.clear();
+      std::int64_t delta = evaluate(a, pa, pb, b);
+      if (b >= 0) delta += evaluate(static_cast<hwlib::CellId>(b), pb, pa, a);
       if (delta <= 0 || rng.uniform() < acceptance_probability(delta)) {
+        for (const auto& [ni, hpwl] : pending_wl) wl[ni] = hpwl;
+        for (const auto& [k, bb] : pending_box) box[k] = bb;
         occupant[site_index(pb)] = a;
         occupant[site_index(pa)] = b;
         cost += delta;
         ++accepted;
       } else {
-        for (auto it = undo.rbegin(); it != undo.rend(); ++it)
-          box[it->first] = it->second;
-        pl.location[a] = pa;
-        if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pb;
+        loc[a] = pa;
+        if (b >= 0) loc[static_cast<std::size_t>(b)] = pb;
       }
     }
     pl.moves_tried += tried;

@@ -8,13 +8,20 @@
 // to the acceptance rate, so moves stay local once few long ones succeed.
 // Deterministic for a given (design, fabric, seed).
 //
-// Move costs are incremental (VPR's bounding boxes): each net keeps its box
-// and the number of its pins on each edge for the whole run, so a move
-// updates a box in O(1) unless its cell was the last pin on an edge it
-// leaves; then the net is rescanned, as are nets of at most 8 pins. A swap
-// is two single-cell moves in turn. Every term is an integer and each cell
-// counts once per net, so the tracked cost is exactly the placement's total
-// HPWL.
+// Move costs are incremental. Each net keeps its HPWL for the whole run,
+// and each cell lists its nets in three rows: two-pin nets with the other
+// pin's cell, nets of 3-8 pins, and larger nets. A move writes the new
+// location of its cell (and of the swapped cell) and then evaluates each
+// net it touches once: a two-pin net as the Manhattan distance to its
+// partner, a 3-8-pin net by a min/max scan, a larger one from its kept box
+// and the number of its pins on each edge (VPR's bounding boxes), in O(1)
+// unless the cell was the last pin on an edge it leaves, when the net is
+// rescanned. A net holding both swapped cells keeps its pin positions, so
+// its HPWL cannot change and it is skipped. The new values are committed
+// only if the move is accepted; a rejected move just restores the two
+// locations. Every term is an integer and each cell counts once per net, so
+// the tracked cost is exactly the placement's total HPWL, and each move's
+// delta is the same integer as moving the two cells one after the other.
 //
 // A move that raises the cost by delta is accepted with probability
 // exp(-delta / temp). Deltas are integers, so the probabilities of the

@@ -12,9 +12,12 @@
 // ordering) happens only on the pipeline thread; workers write only into
 // their own slot.
 //
-// The pool is borrowed when the caller owns a long-lived one (the server's
-// shared pool); a direct call with a parallel config gets a private pool
-// for the CAD sweep.
+// Once the sweep is submitted, the pipeline thread does not idle: it waits
+// through ThreadPool::wait, which runs the sweep's still-queued chains on
+// this thread, next-largest first, until none is left. The pool is borrowed
+// when the caller owns a long-lived one (the server's shared pool); a
+// direct call with a parallel config gets a private pool of `jobs - 1`
+// workers, so `jobs` counts this thread.
 #include "jit/pipeline.hpp"
 
 #include <algorithm>
@@ -44,7 +47,8 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
 
   // `jobs = 1` forces serial execution. Otherwise a borrowed pool is used
   // whatever its width; without one, `jobs` (0 = hardware concurrency)
-  // sizes a run-scoped private pool when it exceeds one.
+  // sizes a run-scoped private pool when it exceeds one: `jobs - 1` workers
+  // plus this thread, which helps while it waits.
   const unsigned jobs = config_.jobs != 0
                             ? config_.jobs
                             : support::ThreadPool::default_workers();
@@ -79,7 +83,7 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
     const support::Stopwatch impl_timer;
     support::ThreadPool* pool = pool_;
     if (pool == nullptr && parallel) {
-      owned.emplace(jobs);
+      owned.emplace(jobs - 1);
       pool = &*owned;
     }
     // The sweep: the first selection position of each selected signature
@@ -112,7 +116,7 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
       else
         *slot = implement(art, k, names[k], db);
     }
-    if (parallel) cad_group.wait();
+    if (parallel) pool->wait(cad_group);
     observers_.on_phase_exit(PipelinePhase::Implementation,
                              impl_timer.elapsed_ms());
   }

@@ -14,7 +14,9 @@
 // per-candidate chains are the pipeline's one fan-out: `Phase::Cad` tasks
 // on one support::ThreadPool — either a borrowed, long-lived pool (the
 // server's, so many sessions share one bounded worker set) or a
-// pipeline-private pool for direct `specialize()` calls. Results stay
+// pipeline-private pool for direct `specialize()` calls. The calling thread
+// runs the sweep's still-queued chains itself while it waits
+// (ThreadPool::wait), so it never idles behind the workers. Results stay
 // bit-identical to the serial run because CAD results are keyed by
 // candidate signature (all jitter is signature-seeded) and everything
 // order-sensitive runs in the adaptation tail in final selection order.
@@ -66,9 +68,11 @@ class SpecializationPipeline {
   /// `cache`, `estimates` and `pool` are borrowed, may be shared across
   /// concurrent pipelines (all are internally synchronized), and may be
   /// null. With a null `pool` and more than one resolved `jobs`, run()
-  /// spins up a private ThreadPool for its CAD sweep; with a non-null one
-  /// (the server's shared pool), this pipeline submits its `Phase::Cad`
-  /// tasks there unless `jobs = 1`, and owns no threads at all.
+  /// spins up a private ThreadPool of `jobs - 1` workers for its CAD sweep;
+  /// with a non-null one (the server's shared pool), this pipeline submits
+  /// its `Phase::Cad` tasks there unless `jobs = 1`, and owns no threads at
+  /// all. Either way the calling thread runs its own queued chains while it
+  /// waits for the sweep.
   explicit SpecializationPipeline(const SpecializerConfig& config,
                                   BitstreamCache* cache = nullptr,
                                   estimation::EstimateCache* estimates = nullptr,

@@ -42,15 +42,17 @@ struct SpecializerConfig {
   /// Skip the CAD flow and use estimation-based hardware cycles (used by
   /// upper-bound experiments; no bitstreams are produced).
   bool implement_hardware = true;
-  /// Parallelism of the CAD sweep. Candidate search always runs serially
-  /// on the calling thread; the per-candidate CAD chains of the final
-  /// selection run as `Phase::Cad` tasks on one support::ThreadPool,
-  /// submitted largest estimated area first. 0 means hardware_concurrency,
-  /// 1 runs strictly serially (in the same largest-first order). When the
-  /// caller lends a long-lived pool (the specialization server's shared
-  /// one), every value but 1 runs on it and the pool's width decides the
-  /// real parallelism; a direct call gets a private pool of `jobs` workers
-  /// for the CAD sweep when that is more than one. Any value produces a
+  /// Parallelism of the CAD sweep, the calling thread included. Candidate
+  /// search always runs serially on the calling thread; the per-candidate
+  /// CAD chains of the final selection run as `Phase::Cad` tasks on one
+  /// support::ThreadPool, submitted largest estimated area first, and the
+  /// calling thread runs the chains still queued while it waits. 0 means
+  /// hardware_concurrency, 1 runs strictly serially (in the same
+  /// largest-first order). When the caller lends a long-lived pool (the
+  /// specialization server's shared one), every value but 1 runs on it and
+  /// the pool's width plus the calling thread decide the real parallelism;
+  /// a direct call gets a private pool of `jobs - 1` workers for the CAD
+  /// sweep when `jobs` is more than one. Any value produces a
   /// bit-identical SpecializationResult: CAD jitter is seeded per candidate
   /// signature, and all bookkeeping (cycle accounting, registry insertion,
   /// `implemented` order, cache population) stays in a serial tail.

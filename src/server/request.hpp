@@ -110,9 +110,11 @@ struct RequestOutcome {
   /// Copied from the request (Trigger::Drift marks the server's own
   /// re-specializations in traces and stats).
   Trigger trigger = Trigger::Client;
-  double queue_ms = 0.0;  // admission -> session start (0 if never started)
+  // Latency splits. They start when submit() is called, so they include
+  // the request hashing the client thread pays before admission.
+  double queue_ms = 0.0;  // submit -> session start (0 if never started)
   double run_ms = 0.0;    // session start -> terminal
-  double total_ms = 0.0;  // admission -> terminal (the latency the
+  double total_ms = 0.0;  // submit -> terminal (the latency the
                           // percentile table reports)
 };
 

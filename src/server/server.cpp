@@ -119,9 +119,9 @@ SpecializationServer::SpecializationServer(ServerConfig config)
     journal_->attach(cache_);
   }
   // One coordinator thread per session slot. Coordinators run their
-  // request's candidate search, then submit CAD tasks and block; the pool
-  // above holds the CAD threads, so they stay `workers` no matter how many
-  // sessions run.
+  // request's candidate search, then submit CAD tasks and, while they wait,
+  // run their own still-queued ones; the pool above holds `workers` CAD
+  // threads, and each coordinator adds itself only to its own sweep.
   threads_.reserve(config_.max_sessions);
   for (unsigned i = 0; i < config_.max_sessions; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -147,13 +147,16 @@ SpecializationServer::~SpecializationServer() {
 }
 
 Ticket SpecializationServer::submit(SpecializationRequest request) {
+  // A request's latency and deadline start at the call: hashing its module
+  // below is time the client already waits.
+  const Clock::time_point submitted_at = Clock::now();
   if (request.tenant.empty()) request.tenant = "default";
   // Hash outside the scheduler lock — the signature is a pure function of
   // the request's content.
   const std::uint64_t signature =
       jit::request_signature(*request.module, *request.profile);
   auto state = std::make_shared<detail::TicketState>();
-  state->submitted_at = Clock::now();
+  state->submitted_at = submitted_at;
 
   std::string reject_reason;
   std::size_t depth = 0;
@@ -171,7 +174,10 @@ Ticket SpecializationServer::submit(SpecializationRequest request) {
       reject_reason = "server draining";
     } else {
       if (request.deadline_ms > 0.0) {
-        state->cancel.set_deadline_in_ms(request.deadline_ms);
+        state->cancel.set_deadline(
+            submitted_at + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double, std::milli>(
+                                   request.deadline_ms)));
       }
       const auto inflight = inflight_.find(signature);
       if (inflight != inflight_.end()) {
@@ -434,7 +440,7 @@ void SpecializationServer::run_session(Session& session) {
   pipeline_runs_.fetch_add(1, std::memory_order_relaxed);
   try {
     // The session coordinator searches on its own thread, then submits CAD
-    // to the server-wide pool and waits.
+    // to the server-wide pool and helps run it while it waits.
     jit::SpecializationPipeline pipeline(cfg, &cache_, &estimates_, &pool_);
     pipeline.add_observer(&progress);
     if (config_.pipeline_observer) {

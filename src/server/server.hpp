@@ -11,11 +11,12 @@
 //                 pipeline entirely)             (priority FIFO in-tenant)
 //                                                   │
 //                       session coordinators (`max_sessions` threads that
-//                       search, then mostly block) run SpecializationPipeline
-//                       against the ONE shared BitstreamCache +
-//                       EstimateCache, submitting each selected candidate's
-//                       CAD chain as a `Phase::Cad` task to the ONE shared
-//                       ThreadPool of `workers` threads
+//                       search, then help run their own CAD) run
+//                       SpecializationPipeline against the ONE shared
+//                       BitstreamCache + EstimateCache, submitting each
+//                       selected candidate's CAD chain as a `Phase::Cad`
+//                       task to the ONE shared ThreadPool of `workers`
+//                       threads
 //
 // Request coalescing (the serving stack's first memoization tier, ahead of
 // EstimateCache → shared BitstreamCache → journal warm-start): a submission
@@ -36,13 +37,15 @@
 //
 // Execution substrate: session concurrency is a *scheduling* property
 // (`max_sessions` coordinator threads), compute width is a *thread-count*
-// property (`workers` pool threads) — and the two no longer multiply. A
+// property (`workers` pool threads) — and the two do not multiply. A
 // session searches candidates on its own coordinator thread (milliseconds);
 // every session's CAD tasks land in the one pool's FIFO queue (each
-// session's sweep largest design first), so CAD threads are bounded by
-// `workers` no matter how many tenants or sessions are in flight, and the
-// next free worker takes the oldest queued CAD task, whichever session
-// submitted it.
+// session's sweep largest design first), and the next free worker takes the
+// oldest queued CAD task, whichever session submitted it. A coordinator
+// waiting for its sweep runs its own still-queued tasks meanwhile
+// (ThreadPool::wait), never another session's. So CAD runs on at most
+// `workers` pool threads plus the coordinators with a sweep in flight: a
+// lone request's sweep runs on `workers + 1` threads.
 //
 // Cancellation/deadlines are cooperative: the pipeline polls the request's
 // token at stage boundaries only — never inside a cache or journal mutation
@@ -77,14 +80,16 @@ namespace jitise::server {
 
 struct ServerConfig {
   /// Compute threads in the ONE shared thread pool every session's
-  /// CAD tasks run on (0 clamps to 1). This — not the session count —
-  /// bounds the server's CAD threads.
+  /// CAD tasks run on (0 clamps to 1). Each session's coordinator also runs
+  /// its own queued CAD tasks while it waits, so a lone request's sweep runs
+  /// on `workers + 1` threads, and no more than `workers` threads ever run
+  /// other sessions' CAD.
   unsigned workers = 2;
   /// Concurrent sessions (pipelines in flight). A session is a coordinator
-  /// thread that runs its request's candidate search, submits the CAD tasks
-  /// and blocks on their completion; 0 defaults to `workers`. Raising it
-  /// admits more requests into the pool's scheduling mix without adding
-  /// pool threads.
+  /// thread that runs its request's candidate search, submits the CAD tasks,
+  /// runs those still queued, and blocks on the rest; 0 defaults to
+  /// `workers`. Raising it admits more requests into the pool's scheduling
+  /// mix without adding pool threads.
   unsigned max_sessions = 0;
   /// Bound on admitted-but-not-started requests; a submit beyond it is
   /// rejected with reason (backpressure, never silent queueing).
@@ -93,8 +98,9 @@ struct ServerConfig {
   /// server overrides its `cancel` token per request. Its `journal_fsync`
   /// also puts the shared journal (`cache_journal_file`) in power-loss
   /// durability mode. Sessions run on the shared pool (whose `workers`
-  /// width decides the real parallelism) unless `specializer.jobs = 1`,
-  /// which runs them strictly serially on their coordinator thread.
+  /// width plus the coordinator decide the real parallelism) unless
+  /// `specializer.jobs = 1`, which runs them strictly serially on their
+  /// coordinator thread.
   jit::SpecializerConfig specializer;
   /// Shared bitstream cache capacity in bytes (0 = unbounded).
   std::size_t cache_capacity_bytes = 0;
@@ -143,8 +149,9 @@ struct ServerStats {
   std::uint64_t admission_rejections = 0;
   std::uint64_t cancellations = 0;  // terminal Cancelled
   std::uint64_t expiries = 0;       // terminal Expired
-  /// Shared-pool counters: executed tasks per phase and the
-  /// worker-occupancy high-water mark (`steals` always reads 0).
+  /// Shared-pool counters: executed tasks per phase and the occupancy
+  /// high-water mark, both counting coordinators that run their own CAD
+  /// tasks beside the workers (`steals` always reads 0).
   support::ExecutorStats executor;
   // Coalescing tier: followers registered at admission, followers resolved
   // Done from a leader's result, followers promoted into fresh runs after

@@ -112,13 +112,6 @@ class CancellationSource {
                            std::memory_order_release);
   }
 
-  /// Convenience: deadline `ms` milliseconds from now.
-  void set_deadline_in_ms(double ms) noexcept {
-    set_deadline(std::chrono::steady_clock::now() +
-                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double, std::milli>(ms)));
-  }
-
   [[nodiscard]] bool cancelled() const noexcept { return token().cancelled(); }
 
  private:

@@ -35,6 +35,21 @@ void ThreadPool::submit(Phase phase, TaskGroup& group,
   work_cv_.notify_one();
 }
 
+void ThreadPool::wait(TaskGroup& group) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    const auto own = std::find_if(
+        queue_.begin(), queue_.end(),
+        [&](const Task& t) { return t.group == &group; });
+    if (own == queue_.end()) break;
+    Task task = std::move(*own);
+    queue_.erase(own);
+    run(std::move(task), lock);
+  }
+  lock.unlock();
+  group.wait();
+}
+
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -44,25 +59,28 @@ void ThreadPool::worker_loop() {
     if (queue_.empty()) return;
     Task task = std::move(queue_.front());
     queue_.pop_front();
-    stats_.occupancy_high_water =
-        std::max(stats_.occupancy_high_water, ++busy_);
-    lock.unlock();
-
-    std::exception_ptr error;
-    try {
-      task.fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    task.fn = nullptr;  // release captures before completion is published
-
-    lock.lock();
-    --busy_;
-    ++stats_.tasks_per_phase[static_cast<std::size_t>(task.phase)];
-    lock.unlock();
-    task.group->finish_task(task.id, std::move(error));
-    lock.lock();
+    run(std::move(task), lock);
   }
+}
+
+void ThreadPool::run(Task task, std::unique_lock<std::mutex>& lock) {
+  stats_.occupancy_high_water = std::max(stats_.occupancy_high_water, ++busy_);
+  lock.unlock();
+
+  std::exception_ptr error;
+  try {
+    task.fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  task.fn = nullptr;  // release captures before completion is published
+
+  lock.lock();
+  --busy_;
+  ++stats_.tasks_per_phase[static_cast<std::size_t>(task.phase)];
+  lock.unlock();
+  task.group->finish_task(task.id, std::move(error));
+  lock.lock();
 }
 
 ExecutorStats ThreadPool::stats() const {

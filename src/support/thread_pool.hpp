@@ -13,7 +13,12 @@
 //
 // Completion is tracked per TaskGroup, not per pool, so many sessions can
 // share one pool and each still has a private "my batch is done" barrier
-// with deterministic error semantics (lowest-task-id rethrow).
+// with deterministic error semantics (lowest-task-id rethrow). A submitter
+// that waits through `ThreadPool::wait` does not idle: it takes its own
+// group's queued tasks, oldest first, and runs them on its own thread
+// until none is left, then blocks only for the ones workers hold. So a
+// batch runs on up to `workers() + 1` threads, and a private pool needs one
+// worker fewer than the width it wants.
 //
 // Shutdown contract: the destructor wakes every worker, and workers keep
 // taking tasks until the queue is empty, so every task submitted before the
@@ -41,10 +46,12 @@ namespace jitise::support {
 enum class Phase : std::uint8_t { Search = 0, Estimate = 1, Cad = 2 };
 inline constexpr std::size_t kPhaseCount = 3;
 
-/// Pool counters (monotonic over the pool's lifetime).
-/// `occupancy_high_water` is the maximum number of workers that were ever
-/// executing tasks at the same instant. `steals` is always 0 — the pool has
-/// one shared queue — and stays only for readers of the old layout.
+/// Pool counters (monotonic over the pool's lifetime). `tasks_per_phase`
+/// counts every task the pool ran, on a worker or on a thread helping in
+/// `ThreadPool::wait`; `occupancy_high_water` is the maximum number of such
+/// threads that were ever executing tasks at the same instant, so it can
+/// exceed `workers`. `steals` is always 0 — the pool has one shared queue —
+/// and stays only for readers of the old layout.
 struct ExecutorStats {
   std::uint64_t tasks_per_phase[kPhaseCount] = {0, 0, 0};
   std::uint64_t steals = 0;
@@ -123,10 +130,16 @@ class ThreadPool {
 
   /// Queues `fn` at the back. Never blocks on the task's execution and
   /// never runs it inline; completion is observed through `group`. A task
-  /// must not wait on other tasks of the pool (TaskGroup::wait) — only
+  /// must not wait on other tasks of the pool (either `wait`) — only
   /// threads outside the pool may block on a group.
   void submit(Phase phase, TaskGroup& group, std::function<void()> fn);
-  /// Worker-thread count — how wide submitted batches can actually run.
+  /// `group.wait()` with the calling thread helping: while any task of
+  /// `group` is still queued, takes the oldest one and runs it here, with
+  /// the workers' error capture and completion; then blocks for the tasks
+  /// workers hold. Other groups' tasks are left in the queue.
+  void wait(TaskGroup& group);
+  /// Worker-thread count — how wide submitted batches can actually run,
+  /// plus the caller for a batch it waits on through `wait`.
   [[nodiscard]] unsigned workers() const noexcept {
     return static_cast<unsigned>(threads_.size());
   }
@@ -144,12 +157,15 @@ class ThreadPool {
   };
 
   void worker_loop();
+  /// Runs `task` on the calling thread and publishes its completion;
+  /// `lock` (on `mu_`) is held on entry and on return, released meanwhile.
+  void run(Task task, std::unique_lock<std::mutex>& lock);
 
   mutable std::mutex mu_;  // guards everything below but threads_
   std::condition_variable work_cv_;
   std::deque<Task> queue_;
   bool stopping_ = false;
-  unsigned busy_ = 0;    // workers running a task right now
+  unsigned busy_ = 0;    // threads running a task right now
   ExecutorStats stats_;  // all but `workers`
   std::vector<std::thread> threads_;
 };

@@ -476,6 +476,56 @@ TEST(Placer, TrackedCostIsTotalHpwl) {
   }
 }
 
+void expect_same_placement(const fpga::Placement& got,
+                           const fpga::Placement& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.location, want.location) << what;
+  EXPECT_EQ(got.hpwl, want.hpwl) << what;
+  EXPECT_EQ(got.moves_tried, want.moves_tried) << what;
+  EXPECT_EQ(got.moves_accepted, want.moves_accepted) << what;
+}
+
+TEST(Placer, MatchesReference) {
+  // `place` evaluates each net a move touches once and skips the nets both
+  // swapped cells hold; the reference moves the two cells one after the
+  // other. Every accept decision, and so every placement, must agree.
+  const fpga::Fabric region;
+  ASSERT_EQ(cold_corpus().size(), 58u);
+  for (const bench::SelectedDesign& c : cold_corpus())
+    expect_same_placement(fpga::place(c.design, region, c.placer),
+                          fpga::reference::place(c.design, region, c.placer),
+                          c.app + " " + c.design.name);
+  // Bus-heavy designs on the default region: most targets are empty sites.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto design =
+        random_design(seed, 120 + 10 * seed, 4, 100 + 15 * seed);
+    expect_same_placement(fpga::place(design, region, {seed}),
+                          fpga::reference::place(design, region, {seed}),
+                          label("region", region.width(), seed));
+  }
+  // Nearly full and half-full small fabrics: most moves swap two cells,
+  // often on shared nets, or land on an empty site.
+  for (std::uint16_t side : {6, 8, 10, 12}) {
+    const fpga::Fabric fabric = small_fabric(side, 10);
+    const std::size_t dsp_sites = fabric.capacity(fpga::SiteKind::Dsp);
+    const std::size_t clb_sites = fabric.capacity(fpga::SiteKind::Clb);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const auto dense =
+          random_design(seed * 31 + side, clb_sites - 2 + dsp_sites - 1,
+                        dsp_sites - 1, 100 + 15 * seed);
+      expect_same_placement(fpga::place(dense, fabric, {seed}),
+                            fpga::reference::place(dense, fabric, {seed}),
+                            label("dense", side, seed));
+      const auto half =
+          random_design(seed * 17 + side, clb_sites / 2 + dsp_sites / 2,
+                        dsp_sites / 2, 100 + 15 * seed);
+      expect_same_placement(fpga::place(half, fabric, {seed}),
+                            fpga::reference::place(half, fabric, {seed}),
+                            label("half", side, seed));
+    }
+  }
+}
+
 TEST(Placer, CorpusQuality) {
   // Quality floor over real candidates, each placed with the CAD flow's
   // seed: summed routed wirelength no worse than the corpus's 74,843 under

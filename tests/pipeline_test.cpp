@@ -3,7 +3,12 @@
 // semantics-preserving on every data set.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <optional>
+#include <thread>
 
 #include "apps/app.hpp"
 #include "ir/verifier.hpp"
@@ -12,6 +17,7 @@
 #include "jit/pipeline.hpp"
 #include "jit/specializer.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "woolcano/asip.hpp"
 
 namespace {
@@ -320,6 +326,69 @@ TEST(IsegenAcceptance, BeatsGreedyAndReachesKnapsackOnRealApps) {
   // optimum on at least one.
   EXPECT_GE(strictly_better, 3);
   EXPECT_GE(matches_knapsack, 1);
+}
+
+TEST(PipelineWait, SweepRunsOnCallerWhileBorrowedWorkerIsHeld) {
+  // The borrowed pool's only worker is held by another group's task, so the
+  // CAD sweep completes only if the pipeline thread runs its own queued
+  // chains while it waits. A watchdog opens the gate after 30 s, so a
+  // pipeline that just blocks fails instead of hanging.
+  const apps::App app = apps::build_app("fft");
+  vm::Machine machine(app.module);
+  machine.run(app.entry, app.datasets[0].args, 1ull << 30);
+
+  support::ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false, open = false, opened_by_watchdog = false;
+  support::TaskGroup hold;
+  pool.submit(support::Phase::Cad, hold, [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return held; });
+  }
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(30), [&] { return open; })) {
+      open = opened_by_watchdog = true;
+      cv.notify_all();
+    }
+  });
+
+  jit::SpecializerConfig config;  // jobs = 0: the borrowed pool runs CAD
+  jit::SpecializationPipeline pipeline(config, nullptr, nullptr, &pool);
+  std::optional<jit::SpecializationResult> helped;
+  EXPECT_NO_THROW(helped = pipeline.run(app.module, machine.profile()));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_FALSE(opened_by_watchdog)
+        << "the sweep waited for the held worker";
+    open = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+  hold.wait();
+  ASSERT_TRUE(helped.has_value());
+
+  jit::SpecializerConfig serial_cfg;
+  serial_cfg.jobs = 1;
+  const auto serial =
+      jit::specialize(app.module, machine.profile(), serial_cfg);
+  EXPECT_GT(serial.implemented.size(), 0u);
+  ASSERT_EQ(helped->implemented.size(), serial.implemented.size());
+  for (std::size_t i = 0; i < serial.implemented.size(); ++i) {
+    const jit::ImplementedCandidate& x = helped->implemented[i];
+    const jit::ImplementedCandidate& y = serial.implemented[i];
+    EXPECT_EQ(x.signature, y.signature);
+    EXPECT_EQ(x.hw_cycles, y.hw_cycles);
+    EXPECT_EQ(x.par_s, y.par_s);
+  }
+  EXPECT_EQ(helped->predicted_speedup, serial.predicted_speedup);
 }
 
 TEST(IsegenAcceptance, EndToEndSelectorIsDeterministicAcrossJobs) {

@@ -4,9 +4,11 @@
 // Three layers of coverage:
 //   * unit contracts: every submitted task runs exactly once, tasks start in
 //     submission order, a task's nested submission runs on an idle worker,
-//     phase counters and occupancy stats are wired, the default width is at
-//     least one worker, the destructor drains, and TaskGroup keeps its error
-//     contract (lowest-task-id rethrow, batch reset, draining destructor);
+//     a waiting caller runs its own group's queued tasks (and no other
+//     group's), phase counters and occupancy stats are wired, the default
+//     width is at least one worker, the destructor drains, and TaskGroup
+//     keeps its error contract (lowest-task-id rethrow, also across helped
+//     and worker-run tasks, batch reset, draining destructor);
 //   * randomized stress: N concurrent sessions each submit a seeded
 //     Search→Estimate→Cad task graph into ONE shared pool; per-session
 //     checksums must be bit-identical to a serial evaluation of the same
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -191,6 +194,119 @@ TEST(TaskGroup, DestructorWaitsForOutstandingTasksAndSwallowsErrors) {
     // Unwinds here with all tasks in flight, as a throwing pipeline would.
   }
   EXPECT_EQ(ran.load(), 8);  // destructor returned only after quiescence
+}
+
+// The one worker is held by another group's task, so only the caller can
+// run the group it waits for: ThreadPool::wait must run every task of that
+// group on the calling thread, oldest first, and leave the other group's
+// queued task to the worker.
+TEST(ThreadPool, WaitRunsOwnQueuedTasksOnCaller) {
+  constexpr int kTasks = 8;
+  ThreadPool pool(1);
+  std::atomic<bool> held{false}, release{false}, other_ran{false};
+  TaskGroup other;
+  pool.submit(Phase::Search, other, [&] {
+    held = true;
+    while (!release) std::this_thread::yield();
+  });
+  while (!held) std::this_thread::yield();
+  pool.submit(Phase::Search, other, [&] { other_ran = true; });
+
+  std::mutex mu;
+  std::vector<int> order;
+  std::vector<std::thread::id> ran_on;
+  TaskGroup group;
+  for (int k = 0; k < kTasks; ++k) {
+    pool.submit(Phase::Cad, group, [&, k] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(k);
+      ran_on.push_back(std::this_thread::get_id());
+    });
+  }
+  pool.wait(group);
+
+  std::vector<int> expected(kTasks);
+  for (int k = 0; k < kTasks; ++k) expected[k] = k;
+  EXPECT_EQ(order, expected);
+  for (const std::thread::id id : ran_on)
+    EXPECT_EQ(id, std::this_thread::get_id());
+  EXPECT_FALSE(other_ran) << "the caller ran another group's task";
+  const support::ExecutorStats stats = pool.stats();
+  EXPECT_EQ(stats.tasks_per_phase[static_cast<std::size_t>(Phase::Cad)],
+            static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(stats.occupancy_high_water, 2u);  // the worker and the caller
+
+  release = true;
+  other.wait();
+  EXPECT_TRUE(other_ran);
+}
+
+// Failures split between the worker and a caller helping in
+// ThreadPool::wait still rethrow the lowest task id, whichever thread ran it
+// and whichever finished first.
+TEST(ThreadPool, WaitRethrowsLowestTaskIdError) {
+  ThreadPool pool(1);
+  TaskGroup group;
+  const std::thread::id caller = std::this_thread::get_id();
+  auto fail = [](int k) {
+    throw std::runtime_error("task " + std::to_string(k));
+  };
+
+  // The worker's task 0 fails last, after the caller ran tasks 1-3 (task 2
+  // failing first).
+  {
+    std::atomic<bool> started{false}, helped{false};
+    pool.submit(Phase::Cad, group, [&] {
+      started = true;
+      while (!helped) std::this_thread::yield();
+      fail(0);
+    });
+    while (!started) std::this_thread::yield();
+    std::atomic<int> on_caller{0};
+    for (int k = 1; k <= 3; ++k) {
+      pool.submit(Phase::Cad, group, [&, k] {
+        on_caller += std::this_thread::get_id() == caller;
+        if (k == 3) helped = true;
+        if (k == 2) fail(2);
+      });
+    }
+    try {
+      pool.wait(group);
+      FAIL() << "wait must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 0");
+    }
+    EXPECT_EQ(on_caller.load(), 3);
+  }
+
+  // The caller's task 1 fails last, after the worker ran and failed task 2.
+  {
+    std::atomic<bool> started{false}, first_helped{false}, worker_failed{false};
+    std::atomic<bool> second_on_worker{false};
+    pool.submit(Phase::Cad, group, [&] {
+      started = true;
+      while (!first_helped) std::this_thread::yield();
+    });
+    while (!started) std::this_thread::yield();
+    pool.submit(Phase::Cad, group, [&] {
+      first_helped = true;
+      while (!worker_failed) std::this_thread::yield();
+      fail(1);
+    });
+    pool.submit(Phase::Cad, group, [&] {
+      second_on_worker = std::this_thread::get_id() != caller;
+      worker_failed = true;
+      fail(2);
+    });
+    try {
+      pool.wait(group);
+      FAIL() << "wait must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 1");
+    }
+    EXPECT_TRUE(second_on_worker);
+  }
+  EXPECT_EQ(pool.stats().total_tasks(), 7u);
 }
 
 // --- Randomized N-sessions x M-phases stress --------------------------------

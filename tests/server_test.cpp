@@ -239,6 +239,39 @@ TEST(Server, DeadlineExpiresWhileQueued) {
   EXPECT_EQ(srv.stats().expiries, 1u);
 }
 
+// A request's latency starts when submit() is called, so it covers the
+// module hashing the client thread pays before admission (milliseconds for
+// 444.namd). Its queue wait runs from the call until the gated coordinator
+// takes it, never less than the time from the call to the gate's release.
+TEST(Server, QueueWaitStartsAtTheSubmitCall) {
+  server::ServerConfig config;
+  config.workers = 1;
+  config.specializer.jobs = 1;
+  config.specializer.implement_hardware = false;
+  GateObserver gate;  // outlives srv: ~SpecializationServer notifies it
+  server::SpecializationServer srv(config);
+  srv.add_observer(&gate);
+
+  server::Ticket running = srv.submit(make_distinct_request("t"));
+  gate.wait_for_started(1);
+  server::SpecializationRequest namd = make_request("t", "444.namd");
+  const auto called = std::chrono::steady_clock::now();
+  server::Ticket queued = srv.submit(std::move(namd));
+  const auto released = std::chrono::steady_clock::now();
+  gate.release();
+
+  const server::RequestOutcome& out = queued.wait();
+  ASSERT_EQ(out.state, server::RequestState::Done);
+  const double held_ms =
+      std::chrono::duration<double, std::milli>(released - called).count();
+  // The submit call takes its two clock reads microseconds apart; the
+  // namd hash it covers takes milliseconds.
+  EXPECT_GE(out.queue_ms, held_ms - 0.5);
+  EXPECT_GE(out.total_ms, out.queue_ms);
+  EXPECT_EQ(running.wait().state, server::RequestState::Done);
+  srv.drain();
+}
+
 /// Pipeline observer that parks the session at its first CAD dispatch until
 /// the test hands it the ticket to cancel — a deterministic mid-CAD
 /// cancellation/expiry point regardless of machine speed.
